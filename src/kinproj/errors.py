@@ -10,9 +10,11 @@ class InfeasiblePlanError(ConfigurationError):
 
 
 class StepRejectionError(RuntimeError):
-    """A time step produced non-finite data.
+    """A time step produced non-finite or non-physical data.
 
-    Carries the flat index of the first offending entry in ``index``.
+    Carries the index tuple of the first offending entry in ``index``: its
+    spatial cell for a non-physical moment, and its full (cell, velocity)
+    position for a non-finite right-hand side.
     """
 
     def __init__(self, message, index=None):

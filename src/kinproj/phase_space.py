@@ -156,11 +156,12 @@ def local_maxwellian(vgrid, mom):
     """Maxwellian rebuilt from discrete moments; vacuum cells get a zero slice.
 
     A non-vacuum cell whose temperature is not positive (or not finite) is a
-    non-physical state: StepRejectionError names the first such cell.
+    non-physical state: StepRejectionError names the first such cell by its
+    spatial index tuple.
     """
     bad = ~mom.degenerate & ~(mom.T > 0)
     if np.any(bad):
-        idx = int(np.argwhere(bad.ravel())[0][0])
+        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
         raise StepRejectionError(
             f"non-positive temperature in cell {idx}", index=idx
         )

@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from .errors import ConfigurationError, InfeasiblePlanError
 from .integrators import FORWARD_EULER, IntegratorPlan
 
-MODES = ("two_cluster", "zero_one_stable")
-
-
 @dataclass
 class PlannerInput:
     """Problem scales the planner works from.
@@ -28,28 +25,21 @@ class PlannerInput:
     dx: float
     cfl_constant: float
     K: int
-    mode: str = "two_cluster"
     fastest_rate: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("epsilon", "dx", "cfl_constant", "fastest_rate"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.K != int(self.K):
             raise ConfigurationError(f"K must be an integer, got {self.K}")
         self.K = int(self.K)
-        if self.mode == "two_cluster" and self.K < 2:
+        if self.K < 2:
             raise ConfigurationError(f"two-cluster planning requires K >= 2, got {self.K}")
-        if self.K < 0:
-            raise ConfigurationError(f"K must be >= 0, got {self.K}")
 
 
 def plan_two_cluster(inp, outer_tableau=FORWARD_EULER):
     """One-level plan: inner step at the stiff scale, outer step at the CFL."""
-    if inp.mode != "two_cluster":
-        raise ConfigurationError(f"plan_two_cluster needs mode='two_cluster', got {inp.mode!r}")
     dt_inner = inp.epsilon / inp.fastest_rate
     dt_outer = inp.cfl_constant * inp.dx
     m = dt_outer / dt_inner - (inp.K + 1)

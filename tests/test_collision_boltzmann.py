@@ -88,7 +88,7 @@ def test_zero_slice_is_exactly_zero():
     assert np.all(q == 0.0)
 
 
-@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("n", [8, 16, 32])
 def test_matches_direct_quadrature(n):
     plan = SpectralPlan(n, 8.0, n_theta=4)
     rng = np.random.default_rng(100 + n)
@@ -187,6 +187,14 @@ def test_batch_matches_loop():
     for i in range(2):
         for j in range(3):
             assert np.array_equal(qb[i, j], boltzmann_q(plan, batch[i, j]))
+    # 70 slices run as kernel blocks of 32, 32 and 6 at J = 16 (8,192-node
+    # blocks): every slice is bit-identical to its own call, and a second
+    # call to the first
+    many = rng.uniform(0.1, 1.1, size=(70, 16, 16))
+    qm = boltzmann_q(plan, many)
+    assert np.array_equal(qm, boltzmann_q(plan, many))
+    for k in range(70):
+        assert np.array_equal(qm[k], boltzmann_q(plan, many[k]))
 
 
 def test_rhs_epsilon_scaling():
@@ -221,14 +229,22 @@ def test_rhs_vanishes_at_sampled_maxwellians():
 
 
 def test_rhs_rejects_non_positive_temperature():
+    # the offending cell is named by its spatial index tuple, on 1D and 2D grids
     plan = SpectralPlan(16, 8.0)
     vg = VelocityGrid(2, 8.0, 16)
+    cooling = 0.002 * (vg.speed2.reshape(16, 16) > 25.0)  # rho > 0, T < 0
     sg = SpatialGrid([0.0], [1.0], [2], "periodic")
     f = np.stack([maxwellian(vg, 1.0, [0.0, 0.0], 1.0)] * 2)
-    f[1] -= 0.002 * (vg.speed2.reshape(16, 16) > 25.0)  # rho > 0, T < 0
-    with pytest.raises(StepRejectionError, match="cell 1") as exc:
+    f[1] -= cooling
+    with pytest.raises(StepRejectionError, match=r"cell \(1,\)") as exc:
         boltzmann_rhs(DistributionField(f, sg, vg), plan, 1.0)
-    assert exc.value.index == 1
+    assert exc.value.index == (1,)
+    sg2 = SpatialGrid([0.0, 0.0], [1.0, 1.0], [2, 3], "periodic")
+    f2 = np.broadcast_to(maxwellian(vg, 1.0, [0.0, 0.0], 1.0), (2, 3, 16, 16)).copy()
+    f2[1, 2] -= cooling
+    with pytest.raises(StepRejectionError, match=r"cell \(1, 2\)") as exc:
+        boltzmann_rhs(DistributionField(f2, sg2, vg), plan, 1.0)
+    assert exc.value.index == (1, 2)
 
 
 def test_configuration_errors():

@@ -59,15 +59,11 @@ def test_two_cluster_rate_scales_inner_step():
 
 def test_planner_input_validation():
     with pytest.raises(ConfigurationError):
-        PlannerInput(1e-5, 0.01, 0.4, 2, mode="bogus")
-    with pytest.raises(ConfigurationError):
-        PlannerInput(1e-5, 0.01, 0.4, 1)  # K < 2 in two-cluster mode
+        PlannerInput(1e-5, 0.01, 0.4, 1)  # two-cluster planning needs K >= 2
     with pytest.raises(ConfigurationError):
         PlannerInput(-1e-5, 0.01, 0.4, 2)
     with pytest.raises(ConfigurationError):
         PlannerInput(1e-5, 0.01, 0.4, 2, fastest_rate=0.0)
-    with pytest.raises(ConfigurationError):
-        plan_two_cluster(PlannerInput(1e-5, 0.01, 0.4, 2, mode="zero_one_stable"))
 
 
 def test_plan_levels_values():
