@@ -24,17 +24,16 @@ from .integrators import (
     MIDPOINT_RK2,
     IntegratorPlan,
     RKTableau,
-    forward_euler_step,
     make_rhs,
     projective_step,
     rhs_total,
-    rk4_step,
     rk_step,
     telescopic_step,
 )
 from .planner import (
     PlannerInput,
     adapt_M,
+    plan_from_factors,
     plan_levels,
     plan_two_cluster,
     speedup,
@@ -89,15 +88,14 @@ __all__ = [
     "MIDPOINT_RK2",
     "IntegratorPlan",
     "RKTableau",
-    "forward_euler_step",
     "make_rhs",
     "projective_step",
     "rhs_total",
-    "rk4_step",
     "rk_step",
     "telescopic_step",
     "PlannerInput",
     "adapt_M",
+    "plan_from_factors",
     "plan_levels",
     "plan_two_cluster",
     "speedup",

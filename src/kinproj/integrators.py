@@ -66,16 +66,8 @@ def _ensure_finite(values):
     bad = np.argwhere(~np.isfinite(arr))
     if bad.size:
         idx = tuple(int(i) for i in bad[0])
-        raise StepRejectionError(f"non-finite right-hand side at cell {idx}", index=idx)
+        raise StepRejectionError(f"non-finite right-hand side at state index {idx}", index=idx)
     raise StepRejectionError("non-finite reduction over right-hand side")
-
-
-def forward_euler_step(rhs, state, h):
-    if not h > 0:
-        raise ConfigurationError(f"step size must be positive, got {h}")
-    slope = rhs(state)
-    _ensure_finite(slope)
-    return state + h * slope
 
 
 def rk_step(rhs, state, h, tableau):
@@ -98,10 +90,6 @@ def rk_step(rhs, state, h, tableau):
         if w != 0.0:
             out = out + (h * w) * slopes[s]
     return out
-
-
-def rk4_step(rhs, state, h):
-    return rk_step(rhs, state, h, CLASSIC_RK4)
 
 
 class IntegratorPlan:
@@ -140,34 +128,41 @@ class IntegratorPlan:
         self.outer_tableau = outer_tableau
 
 
-def _damped_sweep(rhs, state, plan, level):
+def _damped_sweep(rhs, state, plan, level, counts):
     """K[level]+1 steps at `level`; returns (last state, last chord slope)."""
     prev = state
     cur = state
     for _ in range(plan.K[level] + 1):
         prev = cur
-        cur = _level_step(rhs, cur, plan, level)
+        cur = _level_step(rhs, cur, plan, level, counts)
     return cur, (cur - prev) / plan.h[level]
 
 
-def _level_step(rhs, state, plan, level):
+def _level_step(rhs, state, plan, level, counts):
     """One step of size plan.h[level]; inner levels extrapolate the chord."""
+    counts[level] += 1
     if level == 0:
-        return forward_euler_step(rhs, state, plan.h[0])
-    cur, chord = _damped_sweep(rhs, state, plan, level - 1)
+        return rk_step(rhs, state, plan.h[0], FORWARD_EULER)
+    cur, chord = _damped_sweep(rhs, state, plan, level - 1, counts)
     return cur + (plan.M[level - 1] * plan.h[level - 1]) * chord
 
 
-def telescopic_step(rhs, state, plan):
+def telescopic_step(rhs, state, plan, counts=None):
     """One outermost step of size plan.h[-1], applying the plan's tableau.
 
     Stage s seeds at the damped first-stage state plus
     (c_s*h_out - (K+1)*h_in) * sum_l (a_{s,l}/c_s) k_l, runs a damped sweep,
     and takes its chord as the stage slope k_s; the output combines
     f_damped + (h_out - (K+1)*h_in) * sum_s b_s k_s.
+
+    counts, if given, is a list indexed by level (innermost first) that gains
+    one for every step started at that level, so a rejected step is counted.
     """
     L = plan.levels
     tb = plan.outer_tableau
+    if counts is None:
+        counts = [0] * (L + 1)
+    counts[L] += 1
     if L == 0:
         return rk_step(rhs, state, plan.h[0], tb)
     h_out = plan.h[L]
@@ -188,7 +183,7 @@ def telescopic_step(rhs, state, plan):
                 term = (w / c) * slopes[l]
                 acc = term if acc is None else acc + term
             y = base if acc is None else base + (c * h_out - lead) * acc
-        cur, chord = _damped_sweep(rhs, y, plan, L - 1)
+        cur, chord = _damped_sweep(rhs, y, plan, L - 1, counts)
         slopes.append(chord)
         if s == 0:
             base = cur

@@ -101,13 +101,17 @@ def adapt_M(h0, h_target, K, levels):
     return tuple(ms)
 
 
+def plan_from_factors(h0, K, M, outer_tableau=FORWARD_EULER):
+    """Validated plan with h[l+1] = (M[l] + K + 1) * h[l]; M = () is plain stepping."""
+    h = [h0]
+    for m in M:
+        h.append((m + K + 1) * h[-1])
+    return IntegratorPlan(h, (K,) * len(M), M, outer_tableau)
+
+
 def telescopic_plan(h0, h_target, K, levels, outer_tableau=FORWARD_EULER):
     """Assemble a validated plan from the adapt_M ladder."""
-    ms = adapt_M(h0, h_target, K, levels)
-    h = [h0]
-    for m in ms:
-        h.append((m + K + 1) * h[-1])
-    return IntegratorPlan(h, (K,) * levels, ms, outer_tableau)
+    return plan_from_factors(h0, K, adapt_M(h0, h_target, K, levels), outer_tableau)
 
 
 def speedup(plan):

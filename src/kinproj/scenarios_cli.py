@@ -28,7 +28,6 @@ from .integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
     IntegratorPlan,
-    forward_euler_step,
     make_rhs,
     rk_step,
     telescopic_step,
@@ -41,7 +40,14 @@ from .phase_space import (
     maxwellian,
     moments,
 )
-from .planner import PlannerInput, plan_levels, plan_two_cluster, speedup, telescopic_plan
+from .planner import (
+    PlannerInput,
+    plan_from_factors,
+    plan_levels,
+    plan_two_cluster,
+    speedup,
+    telescopic_plan,
+)
 from .spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum, write_spectrum_csv
 from .transport_weno import WenoConfig
 
@@ -192,20 +198,12 @@ class ResolvedRun:
     collision_name: str
     collision: object
     integrator: str
-    plan: object  # IntegratorPlan, or None for plain integrators
-    dt: float  # plain integrators only
+    plan: IntegratorPlan  # zero levels for the plain fe/rk4 integrators
     epsilon: float
     t_end: float
     snapshot_times: tuple
     rhs: object
     preset: str
-
-
-def _explicit_plan(h0, K, M, tableau):
-    h = [h0]
-    for m in M:
-        h.append((m + K + 1) * h[-1])
-    return IntegratorPlan(h, (K,) * len(M), tuple(M), tableau)
 
 
 def resolve_run(name, preset="paper", integrator=None, collision=None,
@@ -256,18 +254,17 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     dx_min = min(sgrid.spacings)
     K_ = scen.K if K is None else int(K)
     h0_ = epsilon if h0 is None else float(h0)
-    plan = None
-    dt = None
+    tableau = CLASSIC_RK4 if integ.endswith("rk4") else FORWARD_EULER
     if integ in ("fe", "rk4"):
-        dt = (0.1 if cfl is None else cfl) * dx_min  # resolved explicit step
+        # resolved explicit step
+        plan = IntegratorPlan(((0.1 if cfl is None else cfl) * dx_min,), (), (), tableau)
     else:
-        tableau = FORWARD_EULER if integ in ("pfe", "tpfe") else CLASSIC_RK4
         C = scen.cfl if cfl is None else cfl
         if M is not None:
-            plan = _explicit_plan(h0_, K_, tuple(float(m) for m in M), tableau)
+            plan = plan_from_factors(h0_, K_, tuple(float(m) for m in M), tableau)
         elif (scen.M is not None and integ == scen.integrator and levels is None
               and K is None and h0 is None and cfl is None):
-            plan = _explicit_plan(h0_, K_, scen.M, tableau)
+            plan = plan_from_factors(h0_, K_, scen.M, tableau)
         elif integ in ("pfe", "prk4"):
             plan = plan_two_cluster(PlannerInput(h0_, dx_min, C, K_), tableau)
         else:
@@ -285,7 +282,7 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     return ResolvedRun(
         scenario=scen, sgrid=sgrid, vgrid=vgrid, weno=weno,
         collision_name=collision_name, collision=coll, integrator=integ,
-        plan=plan, dt=dt, epsilon=epsilon, t_end=t_end,
+        plan=plan, epsilon=epsilon, t_end=t_end,
         snapshot_times=snap_times, rhs=rhs, preset=preset,
     )
 
@@ -297,28 +294,19 @@ def initial_field(run):
     return maxwellian(run.vgrid, rho, u, T)
 
 
-def _accumulate_counts(counts, plan, n_outer):
-    """Steps taken per level (innermost first) for n_outer top-level steps."""
-    counts[plan.levels] += n_outer
-    mult = n_outer
-    for lev in range(plan.levels - 1, -1, -1):
-        stages = plan.outer_tableau.stages if lev == plan.levels - 1 else 1
-        mult *= stages * (plan.K[lev] + 1)
-        counts[lev] += mult
-
-
 def _land_remainder(rhs, f, rem, plan, counts):
     """Advance a leftover interval shorter than the outer step.
 
     Prefers truncating only the topmost extrapolation factor, which keeps the
     lower levels of the ladder exactly as planned; the per-level damping of a
     tuned plan is chosen against the collision band, so re-deriving all levels
-    geometrically for the leftover would discard that structure.
+    geometrically for the leftover would discard that structure. A plain plan
+    always lands here in one step of its own tableau, since rem < h[0].
     """
-    h0, K = plan.h[0], plan.K[0]
+    h0 = plan.h[0]
     if rem <= h0 * (1.0 + 1e-9):
         counts[0] += 1
-        return forward_euler_step(rhs, f, rem)
+        return rk_step(rhs, f, rem, plan.outer_tableau if plan.levels == 0 else FORWARD_EULER)
     top = plan.levels
     h_in = plan.h[top - 1]
     lead = (plan.K[top - 1] + 1) * h_in
@@ -329,47 +317,34 @@ def _land_remainder(rhs, f, rem, plan, counts):
             plan.M[: top - 1] + (rem / h_in - (plan.K[top - 1] + 1),),
             plan.outer_tableau,
         )
-        f = telescopic_step(rhs, f, sub)
-        _accumulate_counts(counts, sub, 1)
-        return f
+        return telescopic_step(rhs, f, sub, counts)
     for lev in range(top, 0, -1):
         try:
-            sub = telescopic_plan(h0, rem, K, lev, plan.outer_tableau)
+            sub = telescopic_plan(h0, rem, plan.K[0], lev, plan.outer_tableau)
         except InfeasiblePlanError:
             continue
-        f = telescopic_step(rhs, f, sub)
-        _accumulate_counts(counts, sub, 1)
-        return f
+        return telescopic_step(rhs, f, sub, counts)
     n = int(math.ceil(rem / h0 - 1e-12))
     h = rem / n
     for _ in range(n):
-        f = forward_euler_step(rhs, f, h)
-    counts[0] += n
+        counts[0] += 1
+        f = rk_step(rhs, f, h, FORWARD_EULER)
     return f
 
 
 def _advance(run, f, duration, counts):
-    if run.plan is None:
-        dt = run.dt
-        n = int(math.floor(duration / dt * (1.0 + 1e-12)))
-        tableau = CLASSIC_RK4 if run.integrator == "rk4" else FORWARD_EULER
-        for _ in range(n):
-            f = rk_step(run.rhs, f, dt, tableau)
-        counts[0] += n
-        rem = duration - n * dt
-        if rem > _REMAINDER_TOL * dt:
-            f = rk_step(run.rhs, f, rem, tableau)
-            counts[0] += 1
-        return f
     dt = run.plan.h[-1]
     n = int(math.floor(duration / dt * (1.0 + 1e-12)))
     for _ in range(n):
-        f = telescopic_step(run.rhs, f, run.plan)
-    _accumulate_counts(counts, run.plan, n)
+        f = telescopic_step(run.rhs, f, run.plan, counts)
     rem = duration - n * dt
     if rem > _REMAINDER_TOL * dt:
         f = _land_remainder(run.rhs, f, rem, run.plan, counts)
     return f
+
+
+def _tableau_name(plan):
+    return "rk4" if plan.outer_tableau is CLASSIC_RK4 else "fe"
 
 
 def write_snapshot(path, t, name, sgrid, vgrid, values):
@@ -397,8 +372,7 @@ def run_simulation(run, out_dir):
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     f = initial_field(run)
-    n_levels = run.plan.levels if run.plan is not None else 0
-    counts = [0] * (n_levels + 1)
+    counts = [0] * (run.plan.levels + 1)
     snap_files = []
 
     def snap(i, t, state):
@@ -415,17 +389,14 @@ def run_simulation(run, out_dir):
     except StepRejectionError as exc:
         status, error = "rejected", str(exc)
 
-    if run.plan is not None:
-        plan_info = {
-            "h": list(run.plan.h),
-            "K": list(run.plan.K),
-            "M": list(run.plan.M),
-            "tableau": "rk4" if run.plan.outer_tableau is CLASSIC_RK4 else "fe",
-        }
-        gain = speedup(run.plan)
-    else:
-        plan_info = {"dt": run.dt, "tableau": run.integrator}
+    plan = run.plan
+    tableau = _tableau_name(plan)
+    if plan.levels == 0:
+        plan_info = {"dt": plan.h[0], "tableau": tableau}
         gain = None
+    else:
+        plan_info = {"h": list(plan.h), "K": list(plan.K), "M": list(plan.M), "tableau": tableau}
+        gain = speedup(plan)
     manifest = {
         "scenario": run.scenario.name,
         "preset": run.preset,
@@ -580,18 +551,17 @@ def _cmd_plan(args):
     print(f"epsilon     {run.epsilon:g}")
     print(f"grid        {run.sgrid.counts} cells, {run.vgrid.counts} velocity nodes")
     print(f"weno_k      {run.weno.k}")
-    if run.plan is None:
-        n = math.ceil(run.t_end / run.dt) if run.t_end > 0 else 0
-        print(f"dt          {run.dt:g}")
+    plan = run.plan
+    n = math.ceil(run.t_end / plan.h[-1]) if run.t_end > 0 else 0
+    if plan.levels == 0:
+        print(f"dt          {plan.h[0]:g}")
         print(f"steps       {n} to t={run.t_end:g}")
     else:
-        plan = run.plan
         print(f"levels      {plan.levels}")
         print(f"h           {' '.join(f'{h:g}' for h in plan.h)}")
         print(f"K           {' '.join(str(k) for k in plan.K)}")
         print(f"M           {' '.join(f'{m:g}' for m in plan.M)}")
-        print(f"tableau     {'rk4' if plan.outer_tableau is CLASSIC_RK4 else 'fe'}")
-        n = math.ceil(run.t_end / plan.h[-1]) if run.t_end > 0 else 0
+        print(f"tableau     {_tableau_name(plan)}")
         print(f"outer steps {n} to t={run.t_end:g}")
         print(f"speedup     {speedup(plan):.4f}")
     return 0
@@ -634,7 +604,6 @@ def build_parser():
     _add_run_options(p_plan)
     p_plan.set_defaults(func=_cmd_plan, out=None)
     p_spec = sub.add_parser("spectrum", help="dump linearized-operator eigenvalues")
-    p_spec.add_argument("--model", choices=("bgk",), default="bgk")
     p_spec.add_argument("--nu", choices=("1", "rho"), default="1")
     p_spec.add_argument("--epsilon", type=float, default=1e-3)
     p_spec.add_argument("--out", help="CSV file for (re, im) pairs")

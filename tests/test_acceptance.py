@@ -22,10 +22,10 @@ from kinproj.errors import StepRejectionError
 from kinproj.collision_boltzmann import DEFAULT_B0, SpectralPlan, boltzmann_q
 from kinproj.integrators import (
     CLASSIC_RK4,
-    IntegratorPlan,
-    forward_euler_step,
+    FORWARD_EULER,
     make_rhs,
     projective_step,
+    rk_step,
 )
 from kinproj.phase_space import (
     DistributionField,
@@ -35,7 +35,7 @@ from kinproj.phase_space import (
     maxwellian,
     moments,
 )
-from kinproj.planner import plan_levels, speedup
+from kinproj.planner import plan_from_factors, plan_levels, speedup
 from kinproj.scenarios_cli import (
     density_front,
     initial_field,
@@ -53,33 +53,27 @@ def record(num, ok, detail):
     return ok
 
 
-def ladder(h0, ks, ms):
-    h = [h0]
-    for k, m in zip(ks, ms):
-        h.append((m + k + 1) * h[-1])
-    return IntegratorPlan(tuple(h), tuple(ks), tuple(ms), CLASSIC_RK4)
-
-
 def load_snapshot(path):
     return np.loadtxt(path, delimiter=",", skiprows=2)
 
 
 def test_acceptance_01_speedup_figures():
     cases = [
-        ((2,), (397.0,), 133.3),
-        ((6, 6), (14.24, 11.83), 8.2),
-        ((4, 4), (14.24, 11.83), 13.0),
-        ((3,), (86.0,), 22.5),
-        ((3, 3), (6.66, 4.80), 5.9),
+        (2, (397.0,), 133.3),
+        (6, (14.24, 11.83), 8.2),
+        (4, (14.24, 11.83), 13.0),
+        (3, (86.0,), 22.5),
+        (3, (6.66, 4.80), 5.9),
     ]
-    devs = [abs(speedup(ladder(1e-5, ks, ms)) - fig) for ks, ms, fig in cases]
+    devs = [abs(speedup(plan_from_factors(1e-5, k, ms, CLASSIC_RK4)) - fig)
+            for k, ms, fig in cases]
     ok = max(devs) <= 0.1
     record(1, ok, f"five ladder speedups within 0.1 (worst dev {max(devs):.3f})")
     assert ok
 
 
 def test_acceptance_02_plan_consistency():
-    plan = ladder(1e-5, (6, 6), (14.24, 11.83))
+    plan = plan_from_factors(1e-5, 6, (14.24, 11.83), CLASSIC_RK4)
     dev = abs(plan.h[2] - 0.4 * 0.01) / (0.4 * 0.01)
     levels = plan_levels(1e-5, 4e-3, 20.0)
     ok = dev <= 1e-3 and levels == 2
@@ -305,7 +299,7 @@ def test_acceptance_12_desk_scale_structure(tmp_path):
     run = resolve_run("double_sod_2d", preset="desk")
     f = initial_field(run)
     for _ in range(50):
-        f = forward_euler_step(run.rhs, f, run.plan.h[0])
+        f = rk_step(run.rhs, f, run.plan.h[0], FORWARD_EULER)
     mom = moments(run.vgrid, f)
     q = heat_flux(run.vgrid, f, mom)
     sym = max(np.abs(mom.rho - mom.rho.T).max(),

@@ -13,11 +13,9 @@ from kinproj.integrators import (
     MIDPOINT_RK2,
     IntegratorPlan,
     RKTableau,
-    forward_euler_step,
     make_rhs,
     projective_step,
     rhs_total,
-    rk4_step,
     rk_step,
     telescopic_step,
 )
@@ -44,25 +42,25 @@ def test_tableau_validation():
 
 
 def test_forward_euler_scalar():
-    assert forward_euler_step(lambda u: -u, 1.0, 0.1) == 0.9
+    assert rk_step(lambda u: -u, 1.0, 0.1, FORWARD_EULER) == 0.9
     # annihilation at the stability-polynomial root
-    assert forward_euler_step(lambda u: (-1.0 / 0.1) * u, 1.0, 0.1) == 0.0
+    assert rk_step(lambda u: (-1.0 / 0.1) * u, 1.0, 0.1, FORWARD_EULER) == 0.0
     with pytest.raises(ConfigurationError):
-        forward_euler_step(lambda u: -u, 1.0, 0.0)
+        rk_step(lambda u: -u, 1.0, 0.0, FORWARD_EULER)
     with pytest.raises(ConfigurationError):
-        forward_euler_step(lambda u: -u, 1.0, -0.1)
+        rk_step(lambda u: -u, 1.0, -0.1, FORWARD_EULER)
 
 
 def test_forward_euler_zero_rhs_identity():
     rng = np.random.default_rng(0)
     state = rng.uniform(0.5, 1.5, size=(3, 4))
-    out = forward_euler_step(lambda u: np.zeros_like(u), state, 0.2)
+    out = rk_step(lambda u: np.zeros_like(u), state, 0.2, FORWARD_EULER)
     assert np.array_equal(out, state)
 
 
 def test_rk4_scalar_stability_polynomial():
     # sum_{n<=4} (-0.1)^n / n! = 0.9048375 exactly in decimal
-    assert rk4_step(lambda u: -u, 1.0, 0.1) == pytest.approx(0.9048375, rel=1e-14)
+    assert rk_step(lambda u: -u, 1.0, 0.1, CLASSIC_RK4) == pytest.approx(0.9048375, rel=1e-14)
 
 
 def test_rk4_matches_matrix_polynomial():
@@ -76,7 +74,7 @@ def test_rk4_matches_matrix_polynomial():
         p = p @ (h * a) / n
         acc = acc + p
     ref = acc @ u0
-    got = rk4_step(lambda v: a @ v, u0, h)
+    got = rk_step(lambda v: a @ v, u0, h, CLASSIC_RK4)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -163,7 +161,7 @@ def test_telescopic_zero_factors_is_forward_euler():
     y = state
     for _ in range(5):
         x = telescopic_step(rhs, x, plan)
-        y = forward_euler_step(rhs, y, h)
+        y = rk_step(rhs, y, h, FORWARD_EULER)
     assert np.array_equal(x, y)
 
 
@@ -233,11 +231,11 @@ def test_step_rejection_on_non_finite():
         return out
 
     state = np.ones((3, 4))
-    with pytest.raises(StepRejectionError) as exc:
-        forward_euler_step(bad_rhs, state, 0.1)
+    with pytest.raises(StepRejectionError, match=r"state index \(1, 2\)") as exc:
+        rk_step(bad_rhs, state, 0.1, FORWARD_EULER)
     assert exc.value.index == (1, 2)
     with pytest.raises(StepRejectionError):
-        rk4_step(bad_rhs, state, 0.1)
+        rk_step(bad_rhs, state, 0.1, CLASSIC_RK4)
     plan = IntegratorPlan((0.01, 0.05), (1,), (3.0,), FORWARD_EULER)
     with pytest.raises(StepRejectionError):
         telescopic_step(bad_rhs, state, plan)
@@ -264,8 +262,8 @@ def test_rhs_total_collisionless_sentinel_bitwise():
     x = values
     y = values
     for _ in range(10):
-        x = forward_euler_step(free, x, 1e-3)
-        y = forward_euler_step(sent, y, 1e-3)
+        x = rk_step(free, x, 1e-3, FORWARD_EULER)
+        y = rk_step(sent, y, 1e-3, FORWARD_EULER)
     assert np.array_equal(x, y)
 
 

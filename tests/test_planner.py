@@ -2,22 +2,16 @@ import numpy as np
 import pytest
 
 from kinproj.errors import ConfigurationError, InfeasiblePlanError
-from kinproj.integrators import CLASSIC_RK4, IntegratorPlan
+from kinproj.integrators import CLASSIC_RK4
 from kinproj.planner import (
     PlannerInput,
     adapt_M,
+    plan_from_factors,
     plan_levels,
     plan_two_cluster,
     speedup,
     telescopic_plan,
 )
-
-
-def _ladder(K, M, h0=1e-5):
-    h = [h0]
-    for k, m in zip(K, M):
-        h.append((m + k + 1) * h[-1])
-    return IntegratorPlan(h, K, M)
 
 
 def test_two_cluster_sod_parameters():
@@ -141,8 +135,8 @@ def test_telescopic_plan_assembly():
 
 
 def test_speedup_benchmark_figures():
-    assert speedup(_ladder((2,), (397.0,))) == pytest.approx(133.3, abs=0.1)
-    assert speedup(_ladder((6, 6), (14.24, 11.83))) == pytest.approx(8.2, abs=0.1)
-    assert speedup(_ladder((4, 4), (14.24, 11.83))) == pytest.approx(13.0, abs=0.1)
-    assert speedup(_ladder((3,), (86.0,))) == pytest.approx(22.5, abs=0.1)
-    assert speedup(_ladder((3, 3), (6.66, 4.80))) == pytest.approx(5.9, abs=0.1)
+    assert speedup(plan_from_factors(1e-5, 2, (397.0,))) == pytest.approx(133.3, abs=0.1)
+    assert speedup(plan_from_factors(1e-5, 6, (14.24, 11.83))) == pytest.approx(8.2, abs=0.1)
+    assert speedup(plan_from_factors(1e-5, 4, (14.24, 11.83))) == pytest.approx(13.0, abs=0.1)
+    assert speedup(plan_from_factors(1e-5, 3, (86.0,))) == pytest.approx(22.5, abs=0.1)
+    assert speedup(plan_from_factors(1e-5, 3, (6.66, 4.80))) == pytest.approx(5.9, abs=0.1)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from kinproj.collision_bgk import BgkConfig
-from kinproj.errors import ConfigurationError, DiagnosticError
-from kinproj.integrators import forward_euler_step, make_rhs
+from kinproj.errors import ConfigurationError, DiagnosticError, StepRejectionError
+from kinproj.integrators import FORWARD_EULER, make_rhs, rk_step
 from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian, moments
 from kinproj.scenarios_cli import (
     catalogue,
@@ -126,6 +126,53 @@ def test_manifest_plan_bookkeeping(tmp_path):
     assert manifest["snapshot_times"] == list(np.linspace(0.0, 0.15, 5))
 
 
+class _CountingRhs:
+    """RHS wrapper that counts calls and can return NaN at one of them."""
+
+    def __init__(self, rhs, nan_at=None):
+        self.rhs = rhs
+        self.nan_at = nan_at
+        self.calls = 0
+
+    def __call__(self, values):
+        self.calls += 1
+        out = self.rhs(values)
+        if self.calls == self.nan_at:
+            out[0] = np.nan
+        return out
+
+
+@pytest.mark.parametrize("overrides, counts", [
+    # last outer step shorter than the top-level damping sweep: the ladder
+    # is re-derived for the leftover
+    (dict(integrator="tprk4", collision="bgk-rho", K=6, M=(14.24, 2.0),
+          nx=(30,), nv=(16,), t_end=0.01), [1008, 141, 5]),
+    # leftover 2e-5 below the (K+1)*h0 = 3e-5 sweep and no feasible ladder:
+    # forward-Euler steps split it
+    (dict(integrator="pfe", nx=(20,), nv=(16,), t_end=0.02 + 2e-5), [5, 1]),
+], ids=["rederived_ladder", "forward_euler_split"])
+def test_remainder_landing_counts(tmp_path, overrides, counts):
+    run = resolve_run("sod_1d1d", snapshots=2, **overrides)
+    rhs = run.rhs = _CountingRhs(run.rhs)
+    manifest = run_simulation(run, tmp_path)
+    assert manifest["status"] == "completed"
+    assert manifest["snapshots"][-1]["t"] == overrides["t_end"]
+    assert manifest["steps_per_level"] == counts
+    assert rhs.calls == counts[0]
+
+
+def test_rejected_run_counts_partial_work(tmp_path):
+    # the run of test_manifest_plan_bookkeeping, poisoned at RHS call 5:
+    # the fifth inner step of the first outer step is started and rejected
+    run = resolve_run("sod_1d1d", nx=(50,), nv=(32,))
+    run.rhs = _CountingRhs(run.rhs, nan_at=5)
+    with pytest.raises(StepRejectionError):
+        run_simulation(run, tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "rejected"
+    assert manifest["steps_per_level"] == [5, 1]
+
+
 def test_exit_codes(tmp_path):
     assert main(["run", "--scenario", "nope", "--out", str(tmp_path)]) == 2
     # epsilon = 0.1 is not stiff enough for the default projective plan
@@ -211,7 +258,7 @@ def test_periodic_mass_conservation():
     rhs = make_rhs(sg, vg, WenoConfig(k=2), BgkConfig("constant", 1.0, scen.epsilon))
     mass0 = f.sum()
     for _ in range(100):
-        f = forward_euler_step(rhs, f, scen.epsilon)
+        f = rk_step(rhs, f, scen.epsilon, FORWARD_EULER)
     assert abs(f.sum() - mass0) <= 1e-10 * mass0  # measured 1.9e-12
 
 
