@@ -42,12 +42,11 @@ def collision_frequency(cfg, core):
     return core.rho
 
 
-def bgk_rhs(field, cfg, mom=None):
+def bgk_rhs(field, cfg):
     """(nu/eps)(maxwellian(moments(f)) - f); vacuum cells contribute zero."""
     vg = field.vgrid
     f = field.values
-    if mom is None:
-        mom = moments(vg, f)
+    mom = moments(vg, f)
     M = local_maxwellian(vg, mom)
     nu = collision_frequency(cfg, mom)
     pad = (1,) * vg.dv

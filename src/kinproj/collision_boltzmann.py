@@ -61,23 +61,21 @@ def _interleaved(w):
 
 
 class SpectralPlan:
-    """Precomputed angular factor tables for one (J, V, N_theta, b0) choice."""
+    """Precomputed angular factor tables for one (J, V, N_theta) choice."""
 
-    def __init__(self, modes, half_width, n_theta=4, b0=DEFAULT_B0):
+    def __init__(self, modes, half_width, n_theta=4):
         if modes % 2 != 0 or modes < 8:
             raise ConfigurationError(f"modes must be even and >= 8, got {modes}")
         if n_theta < 1:
             raise ConfigurationError(f"n_theta must be >= 1, got {n_theta}")
-        if not (half_width > 0 and b0 > 0):
-            raise ConfigurationError("half_width and b0 must be positive")
+        if not half_width > 0:
+            raise ConfigurationError("half_width must be positive")
         self.modes = int(modes)
         self.half_width = float(half_width)
         self.n_theta = int(n_theta)
-        self.b0 = float(b0)
-        self.lam = LAMBDA
         self.radius = LAMBDA * np.pi
         # physical scaling: 2^(dv-1) b0 kernel constant x (V/pi)^2 box Jacobian
-        self.scale = 2.0 * b0 * (half_width / np.pi) ** 2
+        self.scale = 2.0 * DEFAULT_B0 * (half_width / np.pi) ** 2
 
         freq = np.fft.fftfreq(self.modes, 1.0 / self.modes)  # integer modes, FFT order
         lx = freq[:, None]
@@ -200,21 +198,6 @@ def boltzmann_q(plan, slice_values):
     slices = np.asarray(slice_values, dtype=float)
     _check_slice(plan, slices)
     return plan.scale * _q_complex(plan, slices).real
-
-
-def boltzmann_gain_loss(plan, slice_values):
-    """Physically scaled (gain, loss) convolution split, for diagnostics."""
-    slices = np.asarray(slice_values, dtype=float)
-    _check_slice(plan, slices)
-    gain = np.empty(slices.shape)
-    loss = np.empty(slices.shape)
-    flat_gain = gain.reshape(-1, plan.modes, plan.modes)
-    flat_loss = loss.reshape(-1, plan.modes, plan.modes)
-    for idx, block in _blocks(plan, slices):
-        g, l = _gain_loss_block(plan, block)
-        flat_gain[idx] = plan.scale * g.real
-        flat_loss[idx] = plan.scale * l.real
-    return gain, loss
 
 
 def boltzmann_rhs(field, plan, epsilon):

@@ -46,7 +46,6 @@ class RKTableau:
 
 
 FORWARD_EULER = RKTableau([[0.0]], [1.0], [0.0])
-MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
 CLASSIC_RK4 = RKTableau(
     [
         [0.0, 0.0, 0.0, 0.0],
@@ -193,23 +192,6 @@ def telescopic_step(rhs, state, plan, counts=None):
         if w != 0.0:
             out = out + ((h_out - lead) * w) * slopes[s]
     return out
-
-
-def projective_step(rhs, state, dt_inner, K, dt_outer, tableau=FORWARD_EULER):
-    """Projective step: K+1 inner Euler steps then chord extrapolation.
-
-    Equivalent to a one-level telescopic plan; with the forward-Euler tableau
-    this is projective forward Euler with M = dt_outer/dt_inner - (K+1).
-    """
-    if not (dt_inner > 0 and dt_outer > 0):
-        raise ConfigurationError("step sizes must be positive")
-    if dt_outer < (K + 1) * dt_inner:
-        raise ConfigurationError(
-            f"outer step {dt_outer} is shorter than the damping sweep {(K + 1) * dt_inner}"
-        )
-    m = dt_outer / dt_inner - (K + 1)
-    plan = IntegratorPlan((dt_inner, dt_outer), (K,), (m,), tableau)
-    return telescopic_step(rhs, state, plan)
 
 
 def rhs_total(field, weno_cfg=None, collision=None):

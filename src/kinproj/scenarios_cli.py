@@ -18,12 +18,7 @@ import numpy as np
 
 from .collision_bgk import BgkConfig
 from .collision_boltzmann import SpectralPlan
-from .errors import (
-    ConfigurationError,
-    DiagnosticError,
-    InfeasiblePlanError,
-    StepRejectionError,
-)
+from .errors import ConfigurationError, InfeasiblePlanError, StepRejectionError
 from .integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
@@ -433,18 +428,6 @@ def run_simulation(run, out_dir):
     if status == "rejected":
         raise StepRejectionError(error)
     return manifest
-
-
-def density_front(sgrid, rho, level=1.5):
-    """x of the first downward crossing of rho=level along the y midline."""
-    rho = np.asarray(rho)
-    x = sgrid.centers[0]
-    line = rho if rho.ndim == 1 else rho[:, rho.shape[1] // 2]
-    for i in range(line.size - 1):
-        if line[i] >= level > line[i + 1]:
-            s = (line[i] - level) / (line[i] - line[i + 1])
-            return float(x[i] + s * (x[i + 1] - x[i]))
-    raise DiagnosticError(f"no downward rho={level} crossing on the midline")
 
 
 # -------------------------------------------------------------- CLI plumbing

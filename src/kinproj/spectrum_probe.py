@@ -42,23 +42,6 @@ class LinearizedOperator:
         return np.asarray(self.action(vec), dtype=float)
 
 
-def check_linearity(op, rtol=1e-8, seed=0, trials=3):
-    """Superposition test on random vectors; raises DiagnosticError on failure."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        u = rng.standard_normal(op.dimension)
-        w = rng.standard_normal(op.dimension)
-        a, b = rng.uniform(-2.0, 2.0, size=2)
-        lhs = op(a * u + b * w)
-        au, bw = a * op(u), b * op(w)
-        scale = max(np.linalg.norm(au) + np.linalg.norm(bw), 1e-300)
-        err = np.linalg.norm(lhs - (au + bw)) / scale
-        if not err <= rtol:
-            raise DiagnosticError(
-                f"superposition violated by {err:.3g} (> {rtol:.1g}): {op.description}"
-            )
-
-
 def collision_invariant_basis(vgrid):
     """Orthonormalized collision invariants and their weighted quadrature.
 
@@ -100,13 +83,13 @@ def build_linearized_bgk(vgrid, nu, epsilon):
         raise ConfigurationError(
             f"grid has {n} nodes, above the dense-probe limit {MAX_DENSE_DIMENSION}"
         )
-    psi, weight = collision_invariant_basis(vgrid)
-    dev = float(np.max(np.abs((psi * weight) @ psi.T - np.eye(psi.shape[0]))))
+    dev = gram_deviation(vgrid)
     if dev > GRAM_TOLERANCE:
         raise DiagnosticError(
             f"collision invariants lose orthonormality on this grid "
             f"(Gram deviation {dev:.3g} > {GRAM_TOLERANCE})"
         )
+    psi, weight = collision_invariant_basis(vgrid)
     rate = nu / epsilon
     wpsi = psi * weight
 
@@ -118,7 +101,7 @@ def build_linearized_bgk(vgrid, nu, epsilon):
     )
 
 
-def jacobian_probe(rhs, state, eta=None, description="jacobian probe"):
+def jacobian_probe(rhs, state, eta=None):
     """Central-difference Jacobian action of rhs around the given state."""
     state = np.asarray(state, dtype=float)
     if not np.all(np.isfinite(state)):
@@ -137,7 +120,7 @@ def jacobian_probe(rhs, state, eta=None, description="jacobian probe"):
             raise DiagnosticError("non-finite probe response")
         return diff.ravel()
 
-    return LinearizedOperator(action, state.size, description)
+    return LinearizedOperator(action, state.size, "jacobian probe")
 
 
 class SpectrumReport:
@@ -167,24 +150,14 @@ def _assemble(op):
     return mat
 
 
-def spectrum(op, count=None):
-    """Dense spectrum of a small operator, split at the largest relative gap.
-
-    count, if given, keeps only that many eigenvalues taken from the two
-    magnitude extremes (what an iterative extreme-eigenvalue pass would see).
-    """
+def spectrum(op):
+    """Dense spectrum of a small operator, split at the largest relative gap."""
     if op.dimension > MAX_DENSE_DIMENSION:
         raise ConfigurationError(
             f"dimension {op.dimension} above the dense-probe limit {MAX_DENSE_DIMENSION}"
         )
     eig = np.linalg.eigvals(_assemble(op))
     eig = eig[np.argsort(np.abs(eig), kind="stable")]
-    if count is not None:
-        count = int(count)
-        if not 1 <= count <= eig.size:
-            raise ConfigurationError(f"count must be in [1, {eig.size}], got {count}")
-        low = (count + 1) // 2
-        eig = np.concatenate([eig[:low], eig[eig.size - (count - low) :]])
     mags = np.abs(eig)
     if eig.size == 1 or mags[-1] == 0.0:
         return SpectrumReport(eig, eig.size, 1.0)

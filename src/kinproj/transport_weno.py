@@ -19,6 +19,10 @@ IDEAL_WEIGHTS = {
     3: (3.0 / 10.0, 6.0 / 10.0, 1.0 / 10.0),
 }
 
+# regularization of the nonlinear weights d_l / (DELTA + beta_l)^2, inside the
+# robust range [1e-7, 1e-5]
+DELTA = 1e-6
+
 _K1312 = 13.0 / 12.0
 
 # values per block of transport lines (see transport_rhs)
@@ -28,21 +32,10 @@ _BLOCK_POINTS = 8192
 @dataclass
 class WenoConfig:
     k: int = 2
-    delta: float = 1e-6
 
     def __post_init__(self):
         if self.k not in IDEAL_WEIGHTS:
             raise ConfigurationError(f"unsupported reconstruction order k={self.k}")
-        if not (1e-7 <= self.delta <= 1e-5):
-            raise ConfigurationError(
-                f"delta={self.delta} outside the robust range [1e-7, 1e-5]"
-            )
-
-
-def ideal_weights(k):
-    if k not in IDEAL_WEIGHTS:
-        raise ConfigurationError(f"unsupported reconstruction order k={k}")
-    return IDEAL_WEIGHTS[k]
 
 
 def _betas(k, P, n):
@@ -78,49 +71,14 @@ def _candidates(k, P, n):
     return (p0, p1, p2)
 
 
-def _reconstruct_left(k, delta, P, n):
+def _reconstruct_left(k, P, n):
     """Left-biased WENO values for the n windows P[i : i + 2k - 1]."""
     d = IDEAL_WEIGHTS[k]
     betas = _betas(k, P, n)
-    alphas = [d[l] / (delta + betas[l]) ** 2 for l in range(k)]
+    alphas = [d[l] / (DELTA + betas[l]) ** 2 for l in range(k)]
     total = sum(alphas)
     ps = _candidates(k, P, n)
     return sum(a * p for a, p in zip(alphas, ps)) / total
-
-
-def _window(k, window, side="left"):
-    """Stack a 2k-1 window of cell values; side="right" mirrors it."""
-    window = [np.asarray(x, dtype=float) for x in window]
-    if len(window) != 2 * k - 1:
-        raise ConfigurationError(f"window length {len(window)} != {2 * k - 1}")
-    if side == "right":
-        window = window[::-1]
-    elif side != "left":
-        raise ConfigurationError(f"side must be 'left' or 'right', got {side!r}")
-    return np.stack(window)
-
-
-def smoothness_indicators(k, window):
-    """Smoothness indicators beta_l of a 2k-1 window of cell values."""
-    return tuple(b[0] for b in _betas(k, _window(k, window), 1))
-
-
-def weno_reconstruct(cfg, window, side):
-    """WENO point value at the interface from a window centered on one cell.
-
-    side="left": window centers on the cell left of the interface (value
-    biased from the left); side="right": window centers on the cell right of
-    the interface, realized as the mirrored left reconstruction.
-    """
-    return _reconstruct_left(cfg.k, cfg.delta, _window(cfg.k, window, side), 1)[0]
-
-
-def nonlinear_weights(cfg, window, side="left"):
-    """The convex weights omega_l actually used for this window."""
-    d = IDEAL_WEIGHTS[cfg.k]
-    betas = _betas(cfg.k, _window(cfg.k, window, side), 1)
-    alphas = np.array([d[l] / (cfg.delta + betas[l]) ** 2 for l in range(cfg.k)])[:, 0]
-    return alphas / alphas.sum(axis=0)
 
 
 def _pad(sub, k, boundary):
@@ -129,11 +87,6 @@ def _pad(sub, k, boundary):
     lo = np.repeat(sub[:1], k, axis=0)
     hi = np.repeat(sub[-1:], k, axis=0)
     return np.concatenate([lo, sub, hi], axis=0)
-
-
-def _interface_values(P, k, delta):
-    """All I+1 left-biased interface values from a padded array (axis 0, length I+2k)."""
-    return _reconstruct_left(k, delta, P, P.shape[0] - 2 * k + 1)
 
 
 def transport_rhs(field, cfg):
@@ -175,7 +128,7 @@ def transport_rhs(field, cfg):
         for j in range(0, n_b, step):
             blk = tuple(slice(j, j + step) if i == bax else slice(None) for i in range(fa.ndim))
             P = _pad(lines[blk], cfg.k, sg.boundaries[a])
-            fhat = _interface_values(P, cfg.k, cfg.delta)
+            fhat = _reconstruct_left(cfg.k, P, P.shape[0] - 2 * cfg.k + 1)
             flux = w * (fhat[1:] - fhat[:-1]) / h
             o_neg[blk] -= flux[neg]
             o_pos[blk] -= flux[pos]

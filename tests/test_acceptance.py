@@ -18,14 +18,14 @@ import pytest
 from conftest import ACCEPTANCE
 from test_collision_boltzmann import direct_q
 from kinproj.collision_bgk import BgkConfig, bgk_rhs
-from kinproj.errors import StepRejectionError
+from kinproj.errors import DiagnosticError, StepRejectionError
 from kinproj.collision_boltzmann import DEFAULT_B0, SpectralPlan, boltzmann_q
 from kinproj.integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
     make_rhs,
-    projective_step,
     rk_step,
+    telescopic_step,
 )
 from kinproj.phase_space import (
     DistributionField,
@@ -36,12 +36,7 @@ from kinproj.phase_space import (
     moments,
 )
 from kinproj.planner import plan_from_factors, plan_levels, speedup
-from kinproj.scenarios_cli import (
-    density_front,
-    initial_field,
-    resolve_run,
-    run_simulation,
-)
+from kinproj.scenarios_cli import initial_field, resolve_run, run_simulation
 from kinproj.spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum
 from kinproj.transport_weno import WenoConfig, transport_rhs
 
@@ -55,6 +50,27 @@ def record(num, ok, detail):
 
 def load_snapshot(path):
     return np.loadtxt(path, delimiter=",", skiprows=2)
+
+
+def density_front(sgrid, rho, level=1.5):
+    """x of the first downward crossing of rho=level along the y midline."""
+    rho = np.asarray(rho)
+    x = sgrid.centers[0]
+    line = rho if rho.ndim == 1 else rho[:, rho.shape[1] // 2]
+    for i in range(line.size - 1):
+        if line[i] >= level > line[i + 1]:
+            s = (line[i] - level) / (line[i] - line[i + 1])
+            return float(x[i] + s * (x[i + 1] - x[i]))
+    raise DiagnosticError(f"no downward rho={level} crossing on the midline")
+
+
+def test_density_front_interpolation():
+    sg = SpatialGrid(0.0, 1.0, (10,), "outflow")
+    rho = np.array([2.0, 2.0, 2.0, 1.75, 1.25, 1.0, 1.0, 1.0, 2.5, 1.0])
+    # crossing between cells 3 (1.75) and 4 (1.25): midpoint of x=0.35, 0.45
+    assert density_front(sg, rho) == pytest.approx(0.4, abs=1e-12)
+    with pytest.raises(DiagnosticError):
+        density_front(sg, np.ones(10))
 
 
 def test_acceptance_01_speedup_figures():
@@ -253,8 +269,8 @@ def test_acceptance_10_projective_amplification():
         m = rng.uniform(0.0, 50.0)
         z = -1.0 + rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         lam = z / dt_in
-        got = projective_step(lambda u: lam * u, 1.0 + 0.0j, dt_in, k,
-                              (m + k + 1) * dt_in)
+        plan = plan_from_factors(dt_in, k, (m,), FORWARD_EULER)
+        got = telescopic_step(lambda u: lam * u, 1.0 + 0.0j, plan)
         oracle = (1 + z) ** k * (1 + z + m * z)
         worst = max(worst, abs(got - oracle) / max(1.0, abs(oracle)))
     ok = worst <= 1e-14

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from kinproj import (
-    ConfigurationError,
+from kinproj.collision_bgk import BgkConfig, bgk_rhs, collision_frequency
+from kinproj.errors import ConfigurationError
+from kinproj.phase_space import (
     DistributionField,
     SpatialGrid,
     VelocityGrid,
     maxwellian,
     moments,
 )
-from kinproj.collision_bgk import BgkConfig, bgk_rhs, collision_frequency
 
 
 def one_cell_field(vg, slice_values):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from kinproj.collision_bgk import BgkConfig, bgk_rhs
 from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
@@ -10,17 +9,22 @@ from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
-    MIDPOINT_RK2,
     IntegratorPlan,
     RKTableau,
     make_rhs,
-    projective_step,
     rhs_total,
     rk_step,
     telescopic_step,
 )
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
 from kinproj.transport_weno import WenoConfig, transport_rhs
+
+MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
+
+
+def one_level(dt_inner, K, dt_outer, tableau=FORWARD_EULER):
+    """Projective plan: K+1 inner steps of dt_inner, chord across dt_outer."""
+    return IntegratorPlan((dt_inner, dt_outer), (K,), (dt_outer / dt_inner - (K + 1),), tableau)
 
 
 def test_tableau_validation():
@@ -105,16 +109,16 @@ def test_plan_validation():
 
 def test_projective_feasibility():
     with pytest.raises(ConfigurationError):
-        projective_step(lambda u: -u, 1.0, 0.1, 2, 0.2)  # 0.2 < 3 * 0.1
+        one_level(0.1, 2, 0.2)  # 0.2 < 3 * 0.1
     # equality is allowed: M = 0 degenerates to the damped sweep alone
-    out = projective_step(lambda u: -u, 1.0, 0.1, 2, 0.30000000000000004)
+    out = telescopic_step(lambda u: -u, 1.0, one_level(0.1, 2, 0.30000000000000004))
     assert math.isfinite(out)
 
 
 def test_pfe_dahlquist_annihilation():
     # lambda*dt = -1 zeroes every inner iterate after the first step
     dt = 0.25
-    out = projective_step(lambda u: (-1.0 / dt) * u, 1.0, dt, 2, 12 * dt)
+    out = telescopic_step(lambda u: (-1.0 / dt) * u, 1.0, one_level(dt, 2, 12 * dt))
     assert out == 0.0
 
 
@@ -127,7 +131,7 @@ def test_pfe_amplification_matches_closed_form():
         z = -1.0 + rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         lam = z / dt_in
         dt_out = (m + k + 1) * dt_in
-        got = projective_step(lambda u: lam * u, 1.0 + 0.0j, dt_in, k, dt_out)
+        got = telescopic_step(lambda u: lam * u, 1.0 + 0.0j, one_level(dt_in, k, dt_out))
         m_eff = dt_out / dt_in - (k + 1)
         oracle = (1 + z) ** k * (1 + z + m_eff * z)
         assert abs(got - oracle) <= 1e-14 * max(1.0, abs(oracle))
@@ -136,19 +140,8 @@ def test_pfe_amplification_matches_closed_form():
 def test_projective_zero_rhs_identity():
     rng = np.random.default_rng(2)
     state = rng.uniform(0.5, 1.5, size=(3, 4))
-    out = projective_step(lambda u: np.zeros_like(u), state, 1e-3, 2, 1e-1, CLASSIC_RK4)
+    out = telescopic_step(lambda u: np.zeros_like(u), state, one_level(1e-3, 2, 1e-1, CLASSIC_RK4))
     assert np.array_equal(out, state)
-
-
-def test_telescopic_level1_is_projective_step():
-    rng = np.random.default_rng(5)
-    state = rng.uniform(0.5, 1.5, size=(4, 6))
-    rhs = lambda u: -u + 0.3 * u * u
-    dt_in, k, dt_out = 1e-3, 2, 2e-2
-    plan = IntegratorPlan((dt_in, dt_out), (k,), (dt_out / dt_in - (k + 1),), CLASSIC_RK4)
-    a = projective_step(rhs, state, dt_in, k, dt_out, CLASSIC_RK4)
-    b = telescopic_step(rhs, state, plan)
-    assert np.array_equal(a, b)
 
 
 def test_telescopic_zero_factors_is_forward_euler():
@@ -218,7 +211,7 @@ def test_prk4_temporal_order():
     for dt_out in (0.2, 0.1, 0.05, 0.025):
         u = 0.0
         for _ in range(round(t_end / dt_out)):
-            u = projective_step(lambda x: 1.0 - x, u, 1e-9, 2, dt_out, CLASSIC_RK4)
+            u = telescopic_step(lambda x: 1.0 - x, u, one_level(1e-9, 2, dt_out, CLASSIC_RK4))
         errs.append(abs(u - exact))
     for i in range(3):
         assert math.log2(errs[i] / errs[i + 1]) >= 3.8

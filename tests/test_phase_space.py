@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinproj import (
-    ConfigurationError,
+from kinproj.errors import ConfigurationError
+from kinproj.phase_space import (
     DistributionField,
     SpatialGrid,
     VelocityGrid,

@@ -1,0 +1,93 @@
+"""Static checks on the package surface: every public name has a caller in
+the program or the benchmark, and no module imports a name it never uses.
+
+Parses the sources with ``ast``; nothing is imported or run.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "kinproj"
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def public_definitions(tree):
+    """Public top-level functions, classes and assigned names of a module."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("_")}
+
+
+def references(tree):
+    """Names a module reads: loaded names, attributes, imported names, and
+    exact string constants (looked up with getattr, as the benchmark tracer
+    does)."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_public_name_has_a_caller():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    callers = modules + sorted((ROOT / "perfbench").glob("*.py"))
+    refs = set().union(*(references(parse(p)) for p in callers))
+    unused = sorted(
+        f"{p.stem}.{name}"
+        for p in modules
+        for name in public_definitions(parse(p))
+        if name not in refs
+    )
+    assert unused == []
+
+
+def imported_names(tree):
+    """(bound name, line) for every name an import statement binds."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                out.append((bound, node.lineno))
+    return out
+
+
+def exported(tree):
+    """Names listed in a module's ``__all__``: a re-export is a use."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_no_unused_imports():
+    files = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = []
+    for path in files:
+        tree = parse(path)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        loaded |= exported(tree)
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported_names(tree)
+            if name not in loaded
+        ]
+    assert unused == []

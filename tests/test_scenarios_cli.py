@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from kinproj.collision_bgk import BgkConfig
-from kinproj.errors import ConfigurationError, DiagnosticError, StepRejectionError
+from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import FORWARD_EULER, make_rhs, rk_step
 from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian, moments
 from kinproj.scenarios_cli import (
     catalogue,
-    density_front,
     get_scenario,
     initial_field,
     load_config,
@@ -270,15 +269,6 @@ def test_double_sod_initial_symmetry():
     assert np.max(np.abs(mom.u[..., 0] - mom.u[..., 1].T)) <= 1e-10
     # full distribution: swap the two position axes and the two velocity axes
     assert np.max(np.abs(f - f.transpose(1, 0, 3, 2))) <= 1e-10
-
-
-def test_density_front_interpolation():
-    sg = SpatialGrid(0.0, 1.0, (10,), "outflow")
-    rho = np.array([2.0, 2.0, 2.0, 1.75, 1.25, 1.0, 1.0, 1.0, 2.5, 1.0])
-    # crossing between cells 3 (1.75) and 4 (1.25): midpoint of x=0.35, 0.45
-    assert density_front(sg, rho) == pytest.approx(0.4, abs=1e-12)
-    with pytest.raises(DiagnosticError):
-        density_front(sg, np.ones(10))
 
 
 def test_resolution_override_validation():
