@@ -152,12 +152,12 @@ def maxwellian(vgrid, rho, u, T):
     return q
 
 
-def local_maxwellian(vgrid, mom):
-    """Maxwellian rebuilt from discrete moments; vacuum cells get a zero slice.
+def check_temperature(mom):
+    """Reject a non-physical state.
 
-    A non-vacuum cell whose temperature is not positive (or not finite) is a
-    non-physical state: StepRejectionError names the first such cell by its
-    spatial index tuple.
+    A non-vacuum cell whose temperature is not positive (or not finite) is
+    one: StepRejectionError names the first such cell by its spatial index
+    tuple.
     """
     bad = ~mom.degenerate & ~(mom.T > 0)
     if np.any(bad):
@@ -165,6 +165,14 @@ def local_maxwellian(vgrid, mom):
         raise StepRejectionError(
             f"non-positive temperature in cell {idx}", index=idx
         )
+
+
+def local_maxwellian(vgrid, mom):
+    """Maxwellian rebuilt from discrete moments; vacuum cells get a zero slice.
+
+    Rejects a non-physical state first (see check_temperature).
+    """
+    check_temperature(mom)
     rho = np.where(mom.degenerate, 0.0, mom.rho)
     return maxwellian(vgrid, rho, mom.u, mom.T)
 
@@ -192,10 +200,9 @@ def moments(vgrid, values):
     return MomentSet(rho=rho, u=u, T=T, degenerate=degenerate)
 
 
-def heat_flux(vgrid, values, mom=None):
-    """Heat flux q_d = 1/2 * sum_j w |v_j-u|^2 (v_j-u)_d f_j per cell."""
-    if mom is None:
-        mom = moments(vgrid, values)
+def heat_flux(vgrid, values, mom):
+    """Heat flux q_d = 1/2 * sum_j w |v_j-u|^2 (v_j-u)_d f_j per cell, given
+    the moments of the same values."""
     cells = values.shape[: values.ndim - vgrid.dv]
     pad = (1,) * vgrid.dv
     c2 = np.zeros(cells + vgrid.counts)

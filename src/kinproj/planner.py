@@ -2,53 +2,15 @@
 
 The inner step follows the fastest collisional decay rate (epsilon over the
 peak collision frequency), the outer step follows the transport CFL limit,
-and the extrapolation factors fill the gap — either in one jump (two-cluster
-planning) or spread geometrically over several nesting levels with the
-coarsest level absorbing the residual.
+and the extrapolation factors fill the gap, spread geometrically over one or
+more nesting levels with the coarsest level absorbing the residual. Every
+plan is built by `plan_from_factors` from its inner step, K and factors.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import ConfigurationError, InfeasiblePlanError
 from .integrators import FORWARD_EULER, IntegratorPlan
-
-@dataclass
-class PlannerInput:
-    """Problem scales the planner works from.
-
-    fastest_rate is the peak collision-frequency amplitude (max nu), so the
-    stiffest decay time is epsilon / fastest_rate.
-    """
-
-    epsilon: float
-    dx: float
-    cfl_constant: float
-    K: int
-    fastest_rate: float = 1.0
-
-    def __post_init__(self):
-        for name in ("epsilon", "dx", "cfl_constant", "fastest_rate"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.K != int(self.K):
-            raise ConfigurationError(f"K must be an integer, got {self.K}")
-        self.K = int(self.K)
-        if self.K < 2:
-            raise ConfigurationError(f"two-cluster planning requires K >= 2, got {self.K}")
-
-
-def plan_two_cluster(inp, outer_tableau=FORWARD_EULER):
-    """One-level plan: inner step at the stiff scale, outer step at the CFL."""
-    dt_inner = inp.epsilon / inp.fastest_rate
-    dt_outer = inp.cfl_constant * inp.dx
-    m = dt_outer / dt_inner - (inp.K + 1)
-    if m <= 0:
-        raise InfeasiblePlanError(
-            f"outer step {dt_outer} does not clear the damping sweep "
-            f"{(inp.K + 1) * dt_inner}; the problem is not stiff enough to project"
-        )
-    return IntegratorPlan((dt_inner, dt_outer), (inp.K,), (m,), outer_tableau)
 
 
 def plan_levels(h0, h_target, factor):
@@ -107,11 +69,6 @@ def plan_from_factors(h0, K, M, outer_tableau=FORWARD_EULER):
     for m in M:
         h.append((m + K + 1) * h[-1])
     return IntegratorPlan(h, (K,) * len(M), M, outer_tableau)
-
-
-def telescopic_plan(h0, h_target, K, levels, outer_tableau=FORWARD_EULER):
-    """Assemble a validated plan from the adapt_M ladder."""
-    return plan_from_factors(h0, K, adapt_M(h0, h_target, K, levels), outer_tableau)
 
 
 def speedup(plan):

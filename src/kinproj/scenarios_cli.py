@@ -18,7 +18,7 @@ import numpy as np
 
 from .collision_bgk import BgkConfig
 from .collision_boltzmann import SpectralPlan
-from .errors import ConfigurationError, InfeasiblePlanError, StepRejectionError
+from .errors import ConfigurationError, StepRejectionError
 from .integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
@@ -30,19 +30,13 @@ from .integrators import (
 from .phase_space import (
     SpatialGrid,
     VelocityGrid,
+    check_temperature,
     derived,
     heat_flux,
     maxwellian,
     moments,
 )
-from .planner import (
-    PlannerInput,
-    plan_from_factors,
-    plan_levels,
-    plan_two_cluster,
-    speedup,
-    telescopic_plan,
-)
+from .planner import adapt_M, plan_from_factors, plan_levels, speedup
 from .spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum, write_spectrum_csv
 from .transport_weno import WenoConfig
 
@@ -249,28 +243,30 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     dx_min = min(sgrid.spacings)
     K_ = scen.K if K is None else int(K)
     h0_ = epsilon if h0 is None else float(h0)
+    C = scen.cfl if cfl is None else cfl
     tableau = CLASSIC_RK4 if integ.endswith("rk4") else FORWARD_EULER
     if integ in ("fe", "rk4"):
-        # resolved explicit step
-        plan = IntegratorPlan(((0.1 if cfl is None else cfl) * dx_min,), (), (), tableau)
+        # resolved explicit step: the inner scale, or exactly cfl * dx
+        h0_ = min(0.1 * dx_min, h0_) if cfl is None else cfl * dx_min
+        factors = ()
+    elif M is not None:
+        factors = tuple(float(m) for m in M)
+    elif (scen.M is not None and integ == scen.integrator and levels is None
+          and K is None and h0 is None and cfl is None):
+        factors = scen.M
     else:
-        C = scen.cfl if cfl is None else cfl
-        if M is not None:
-            plan = plan_from_factors(h0_, K_, tuple(float(m) for m in M), tableau)
-        elif (scen.M is not None and integ == scen.integrator and levels is None
-              and K is None and h0 is None and cfl is None):
-            plan = plan_from_factors(h0_, K_, scen.M, tableau)
-        elif integ in ("pfe", "prk4"):
-            plan = plan_two_cluster(PlannerInput(h0_, dx_min, C, K_), tableau)
+        if integ in ("pfe", "prk4"):
+            if K_ < 2:
+                raise ConfigurationError(f"projective planning requires K >= 2, got {K_}")
+            L = 1
+        elif levels is not None:
+            L = int(levels)
+        elif integ == scen.integrator:
+            L = scen.levels
         else:
-            h_target = C * dx_min
-            if levels is not None:
-                L = int(levels)
-            elif integ == scen.integrator:
-                L = scen.levels
-            else:
-                L = plan_levels(h0_, h_target, _LEVEL_FACTOR)
-            plan = telescopic_plan(h0_, h_target, K_, L, tableau)
+            L = plan_levels(h0_, C * dx_min, _LEVEL_FACTOR)
+        factors = adapt_M(h0_, C * dx_min, K_, L)
+    plan = plan_from_factors(h0_, K_, factors, tableau)
 
     weno = WenoConfig(k=scen.weno_k if weno_k is None else weno_k)
     rhs = make_rhs(sgrid, vgrid, weno, coll)
@@ -289,53 +285,33 @@ def initial_field(run):
     return maxwellian(run.vgrid, rho, u, T)
 
 
-def _land_remainder(rhs, f, rem, plan, counts):
-    """Advance a leftover interval shorter than the outer step.
+def _advance(rhs, f, duration, plan, counts):
+    """Advance f by duration on the plan's ladder, landing exactly on its end.
 
-    Prefers truncating only the topmost extrapolation factor, which keeps the
-    lower levels of the ladder exactly as planned; the per-level damping of a
-    tuned plan is chosen against the collision band, so re-deriving all levels
-    geometrically for the leftover would discard that structure. A plain plan
-    always lands here in one step of its own tableau, since rem < h[0].
+    Whole top-level steps come first. A leftover at least as long as the top
+    damping sweep takes one top step with its extrapolation factor truncated,
+    which keeps every lower level as planned. A shorter leftover is advanced
+    on the ladder one level down, with plain chords as inside a step, and at
+    level 0 by one step of the plan's tableau.
     """
-    h0 = plan.h[0]
-    if rem <= h0 * (1.0 + 1e-9):
-        counts[0] += 1
-        return rk_step(rhs, f, rem, plan.outer_tableau if plan.levels == 0 else FORWARD_EULER)
-    top = plan.levels
-    h_in = plan.h[top - 1]
-    lead = (plan.K[top - 1] + 1) * h_in
-    if rem >= lead * (1.0 + 1e-12):
-        sub = IntegratorPlan(
-            plan.h[:top] + (rem,),
-            plan.K[:top],
-            plan.M[: top - 1] + (rem / h_in - (plan.K[top - 1] + 1),),
-            plan.outer_tableau,
-        )
-        return telescopic_step(rhs, f, sub, counts)
-    for lev in range(top, 0, -1):
-        try:
-            sub = telescopic_plan(h0, rem, plan.K[0], lev, plan.outer_tableau)
-        except InfeasiblePlanError:
-            continue
-        return telescopic_step(rhs, f, sub, counts)
-    n = int(math.ceil(rem / h0 - 1e-12))
-    h = rem / n
-    for _ in range(n):
-        counts[0] += 1
-        f = rk_step(rhs, f, h, FORWARD_EULER)
-    return f
-
-
-def _advance(run, f, duration, counts):
-    dt = run.plan.h[-1]
+    dt = plan.h[-1]
     n = int(math.floor(duration / dt * (1.0 + 1e-12)))
     for _ in range(n):
-        f = telescopic_step(run.rhs, f, run.plan, counts)
+        f = telescopic_step(rhs, f, plan, counts)
     rem = duration - n * dt
-    if rem > _REMAINDER_TOL * dt:
-        f = _land_remainder(run.rhs, f, rem, run.plan, counts)
-    return f
+    if rem <= _REMAINDER_TOL * dt:
+        return f
+    top = plan.levels
+    if top == 0:
+        counts[0] += 1
+        return rk_step(rhs, f, rem, plan.outer_tableau)
+    h_in = plan.h[top - 1]
+    sweep = plan.K[-1] + 1
+    if rem >= sweep * h_in * (1.0 + 1e-12):
+        truncated = IntegratorPlan(plan.h[:top] + (rem,), plan.K,
+                                   plan.M[:-1] + (rem / h_in - sweep,), plan.outer_tableau)
+        return telescopic_step(rhs, f, truncated, counts)
+    return _advance(rhs, f, rem, IntegratorPlan(plan.h[:top], plan.K[:-1], plan.M[:-1]), counts)
 
 
 def _tableau_name(plan):
@@ -345,6 +321,7 @@ def _tableau_name(plan):
 def write_snapshot(path, t, name, sgrid, vgrid, values):
     """Moment-field CSV: 17-significant-digit text, one row per cell."""
     mom = moments(vgrid, values)
+    check_temperature(mom)  # a state the next RHS call would reject is not written
     q = heat_flux(vgrid, values, mom)
     P, E, Ma = derived(mom)
     mesh = np.meshgrid(*sgrid.centers, indexing="ij")
@@ -379,7 +356,8 @@ def run_simulation(run, out_dir):
     status, error = "completed", None
     try:
         for i in range(1, len(run.snapshot_times)):
-            f = _advance(run, f, run.snapshot_times[i] - run.snapshot_times[i - 1], counts)
+            f = _advance(run.rhs, f, run.snapshot_times[i] - run.snapshot_times[i - 1],
+                         run.plan, counts)
             snap(i, run.snapshot_times[i], f)
     except StepRejectionError as exc:
         status, error = "rejected", str(exc)

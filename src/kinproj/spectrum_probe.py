@@ -25,13 +25,12 @@ SPLIT_FLOOR = 1e-4
 class LinearizedOperator:
     """Matrix-free linear map on flat real vectors of fixed dimension."""
 
-    def __init__(self, action, dimension, description=""):
+    def __init__(self, action, dimension):
         dimension = int(dimension)
         if dimension < 1:
             raise ConfigurationError(f"operator dimension must be positive, got {dimension}")
         self.action = action
         self.dimension = dimension
-        self.description = description
 
     def __call__(self, vec):
         vec = np.asarray(vec, dtype=float)
@@ -96,9 +95,7 @@ def build_linearized_bgk(vgrid, nu, epsilon):
     def action(g):
         return -rate * (g - psi.T @ (wpsi @ g))
 
-    return LinearizedOperator(
-        action, n, f"linearized BGK, nu={nu:g}, epsilon={epsilon:g}"
-    )
+    return LinearizedOperator(action, n)
 
 
 def jacobian_probe(rhs, state, eta=None):
@@ -120,7 +117,7 @@ def jacobian_probe(rhs, state, eta=None):
             raise DiagnosticError("non-finite probe response")
         return diff.ravel()
 
-    return LinearizedOperator(action, state.size, "jacobian probe")
+    return LinearizedOperator(action, state.size)
 
 
 class SpectrumReport:

@@ -108,7 +108,7 @@ def test_heat_flux_direct_sum_oracle():
     g = VelocityGrid(1, 8.0, 80)
     v = g.axes[0]
     f = maxwellian(g, 1.0, [0.0], 1.0) * (1.0 + 0.1 * v**3)
-    q = heat_flux(g, f)
+    q = heat_flux(g, f, moments(g, f))
     rho, u, T = direct_moments_1d(v, g.weight, f)
     q_direct = 0.5 * g.weight * np.sum((v - u) ** 2 * (v - u) * f)
     assert abs(q[0] - q_direct) <= 1e-12
@@ -119,7 +119,7 @@ def test_heat_flux_direct_sum_oracle():
 def test_heat_flux_vanishes_at_equilibrium():
     g = VelocityGrid(2, 8.0, 32)
     M = maxwellian(g, 1.3, [0.4, -0.2], 0.8)
-    q = heat_flux(g, M)
+    q = heat_flux(g, M, moments(g, M))
     assert np.max(np.abs(q)) <= 1e-12
 
 

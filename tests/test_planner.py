@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 
 from kinproj.errors import ConfigurationError, InfeasiblePlanError
-from kinproj.integrators import CLASSIC_RK4
-from kinproj.planner import (
-    PlannerInput,
-    adapt_M,
-    plan_from_factors,
-    plan_levels,
-    plan_two_cluster,
-    speedup,
-    telescopic_plan,
-)
+from kinproj.integrators import CLASSIC_RK4, FORWARD_EULER
+from kinproj.planner import adapt_M, plan_from_factors, plan_levels, speedup
+from kinproj.scenarios_cli import resolve_run
+
+
+def two_cluster(h0, dx, cfl, K, tableau=FORWARD_EULER):
+    """The pfe/prk4 plan for a two-cluster spectrum: the one-level case of
+    the geometric rule."""
+    return plan_from_factors(h0, K, adapt_M(h0, cfl * dx, K, 1), tableau)
 
 
 def test_two_cluster_sod_parameters():
-    plan = plan_two_cluster(PlannerInput(1e-5, 0.01, 0.4, 2), CLASSIC_RK4)
+    plan = two_cluster(1e-5, 0.01, 0.4, 2, CLASSIC_RK4)
     assert plan.levels == 1
     assert plan.h[0] == 1e-5
     assert plan.h[1] == 0.4 * 0.01
@@ -24,40 +23,36 @@ def test_two_cluster_sod_parameters():
     assert plan.M[0] == pytest.approx(397.0, abs=1e-9)
     # exact round-trip of the work ratio
     assert speedup(plan) == ratio / 3.0
+    # the same plan is the sod_1d1d default
+    assert resolve_run("sod_1d1d").plan.h == plan.h
 
 
 def test_two_cluster_shear_layer_parameters():
-    plan = plan_two_cluster(PlannerInput(5e-5, 0.01, 0.45, 3))
+    plan = two_cluster(5e-5, 0.01, 0.45, 3)
     assert plan.M[0] == pytest.approx(86.0, abs=1e-9)
     assert speedup(plan) == pytest.approx(22.5, abs=1e-12)
 
 
 def test_two_cluster_infeasible_when_not_stiff():
     with pytest.raises(InfeasiblePlanError):
-        plan_two_cluster(PlannerInput(0.1, 0.01, 0.4, 2))
+        two_cluster(0.1, 0.01, 0.4, 2)
 
 
 def test_two_cluster_epsilon_enters_only_through_inner_step():
-    a = plan_two_cluster(PlannerInput(1e-5, 0.01, 0.4, 2))
-    b = plan_two_cluster(PlannerInput(2e-5, 0.01, 0.4, 2))
+    a = two_cluster(1e-5, 0.01, 0.4, 2)
+    b = two_cluster(2e-5, 0.01, 0.4, 2)
     assert b.h[0] == 2.0 * a.h[0]
     assert b.h[1] == a.h[1]
     assert b.K == a.K
 
 
-def test_two_cluster_rate_scales_inner_step():
-    base = plan_two_cluster(PlannerInput(1e-5, 0.01, 0.4, 2))
-    scaled = plan_two_cluster(PlannerInput(1e-5, 0.01, 0.4, 2, fastest_rate=2.0))
-    assert scaled.h[0] == base.h[0] / 2.0
-
-
 def test_planner_input_validation():
     with pytest.raises(ConfigurationError):
-        PlannerInput(1e-5, 0.01, 0.4, 1)  # two-cluster planning needs K >= 2
+        resolve_run("sod_1d1d", integrator="pfe", K=1)  # projection needs K >= 2
     with pytest.raises(ConfigurationError):
-        PlannerInput(-1e-5, 0.01, 0.4, 2)
+        resolve_run("sod_1d1d", integrator="prk4", epsilon=-1e-5)
     with pytest.raises(ConfigurationError):
-        PlannerInput(1e-5, 0.01, 0.4, 2, fastest_rate=0.0)
+        resolve_run("sod_1d1d", integrator="prk4", cfl=0.0)
 
 
 def test_plan_levels_values():
@@ -126,7 +121,7 @@ def test_adapt_product_identity_property():
 
 
 def test_telescopic_plan_assembly():
-    plan = telescopic_plan(1e-5, 4e-3, 6, 2, CLASSIC_RK4)
+    plan = plan_from_factors(1e-5, 6, adapt_M(1e-5, 4e-3, 6, 2), CLASSIC_RK4)
     assert plan.levels == 2
     assert plan.h[0] == 1e-5
     assert plan.h[2] == pytest.approx(4e-3, rel=1e-10)

@@ -1,5 +1,6 @@
 """Static checks on the package surface: every public name has a caller in
-the program or the benchmark, and no module imports a name it never uses.
+the program or the benchmark, no module imports a name it never uses, and
+every boundary the benchmark tracer wraps is still bound and called.
 
 Parses the sources with ``ast``; nothing is imported or run.
 """
@@ -91,3 +92,30 @@ def test_no_unused_imports():
             if name not in loaded
         ]
     assert unused == []
+
+
+def traced_boundaries():
+    """The (module, name) pairs the benchmark tracer wraps by attribute."""
+    tree = parse(ROOT / "perfbench" / "tracing.py")
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no BOUNDARIES")
+
+
+def test_traced_boundaries_are_bound_and_called():
+    # the tracer replaces a module attribute; a module that stops calling the
+    # name (and so drops its import) breaks every traced run
+    missing = []
+    for module, name in traced_boundaries():
+        tree = parse(PACKAGE / f"{module}.py")
+        bound = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+        bound |= {alias.asname or alias.name for n in tree.body
+                  if isinstance(n, ast.ImportFrom) for alias in n.names}
+        called = {n.func.id for n in ast.walk(tree)
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+        if name not in bound or name not in called:
+            missing.append(f"{module}.{name}")
+    assert missing == []

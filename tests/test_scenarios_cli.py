@@ -142,14 +142,25 @@ class _CountingRhs:
 
 
 @pytest.mark.parametrize("overrides, counts", [
-    # last outer step shorter than the top-level damping sweep: the ladder
-    # is re-derived for the leftover
+    # h = (1e-5, 2.124e-4, 1.9116e-3): the leftover 4.42e-4 is shorter than
+    # the top damping sweep of 7 * 2.124e-4, so it lands on the run's own
+    # ladder one level down (two whole level-1 steps), and its 1.72e-5 below
+    # the 7e-5 level-1 sweep at level 0 (one forward-Euler step of h0 and
+    # one rk_step of 7.2e-6)
     (dict(integrator="tprk4", collision="bgk-rho", K=6, M=(14.24, 2.0),
-          nx=(30,), nv=(16,), t_end=0.01), [1008, 141, 5]),
-    # leftover 2e-5 below the (K+1)*h0 = 3e-5 sweep and no feasible ladder:
-    # forward-Euler steps split it
+          nx=(30,), nv=(16,), t_end=0.01), [996, 142, 5]),
+    # leftover 2e-5 below the (K+1)*h0 = 3e-5 sweep: two whole level-0
+    # forward-Euler steps of h0
     (dict(integrator="pfe", nx=(20,), nv=(16,), t_end=0.02 + 2e-5), [5, 1]),
-], ids=["rederived_ladder", "forward_euler_split"])
+    # h = (1e-5, 5e-5, 2.5e-4): the leftover 6.5e-5 takes one whole level-1
+    # step, its 1.5e-5 one whole level-0 step, and the last 5e-6 one rk_step
+    (dict(integrator="tpfe", K=2, M=(2.0, 2.0), nx=(20,), nv=(16,),
+          t_end=1e-3 + 6.5e-5), [41, 13, 4]),
+    # the same ladder with a leftover of 9e-5: one whole level-1 step, then
+    # a level-1 step with its factor truncated to 4e-5 / 1e-5 - 3 = 1
+    (dict(integrator="tpfe", K=2, M=(2.0, 2.0), nx=(20,), nv=(16,),
+          t_end=1e-3 + 9e-5), [42, 14, 4]),
+], ids=["tuned_ladder", "level_zero_steps", "two_levels_down", "truncated_one_level_down"])
 def test_remainder_landing_counts(tmp_path, overrides, counts):
     run = resolve_run("sod_1d1d", snapshots=2, **overrides)
     rhs = run.rhs = _CountingRhs(run.rhs)
@@ -158,6 +169,49 @@ def test_remainder_landing_counts(tmp_path, overrides, counts):
     assert manifest["snapshots"][-1]["t"] == overrides["t_end"]
     assert manifest["steps_per_level"] == counts
     assert rhs.calls == counts[0]
+
+
+def test_landing_keeps_heat_flux_accuracy(tmp_path):
+    # the tuned_ladder landing above against a resolved RK4 reference;
+    # a leftover re-planned on a fresh geometric ladder gave 8.1e-2 here
+    run_simulation(resolve_run("sod_1d1d", integrator="tprk4", collision="bgk-rho",
+                               K=6, M=(14.24, 2.0), nx=(30,), nv=(16,),
+                               t_end=0.01, snapshots=2), tmp_path / "tpi")
+    run_simulation(resolve_run("sod_1d1d", integrator="rk4", collision="bgk-rho",
+                               cfl=2e-4, nx=(30,), nv=(16,), t_end=0.01,
+                               snapshots=2), tmp_path / "ref")
+    a, b = (np.loadtxt(tmp_path / tag / "snapshot_001.csv", delimiter=",", skiprows=2)
+            for tag in ("tpi", "ref"))
+    dq = np.sum(np.abs(a[:, 4] - b[:, 4])) / np.sum(np.abs(b[:, 4]))
+    assert dq <= 5e-2  # measured 2.5e-2
+
+
+def test_plain_steps_follow_epsilon(tmp_path):
+    # without --cfl, plain fe takes the inner step epsilon, not 0.1 dx = 5e-3
+    run = resolve_run("sod_1d1d", preset="desk", integrator="fe", nx=(20,),
+                      nv=(16,), t_end=0.02, snapshots=2)
+    assert run.plan.h[0] == 1e-5
+    manifest = run_simulation(run, tmp_path)
+    assert manifest["status"] == "completed"
+    data = np.loadtxt(tmp_path / "snapshot_001.csv", delimiter=",", skiprows=2)
+    assert data[:, 1].min() > 0 and data[:, 3].min() > 0
+
+
+def test_nonphysical_snapshot_is_rejected(tmp_path):
+    # the run above at cfl 0.1 (step 5e-3): its last step leaves negative
+    # temperatures, which no later RHS call sees; the snapshot check
+    # rejects them
+    code = main(["run", "--scenario", "sod_1d1d", "--preset", "desk",
+                 "--integrator", "fe", "--nx", "20", "--nv", "16",
+                 "--t-end", "0.02", "--snapshots", "2", "--cfl", "0.1",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "rejected"
+    assert "non-positive temperature in cell" in manifest["error"]
+    assert manifest["steps_per_level"] == [4]
+    assert [s["file"] for s in manifest["snapshots"]] == ["snapshot_000.csv"]
+    assert not (tmp_path / "snapshot_001.csv").exists()
 
 
 def test_rejected_run_counts_partial_work(tmp_path):
