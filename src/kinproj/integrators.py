@@ -194,15 +194,16 @@ def telescopic_step(rhs, state, plan, counts=None):
     return out
 
 
-def rhs_total(field, weno_cfg=None, collision=None):
+def rhs_total(field, weno_cfg, collision, work):
     """Semidiscrete right-hand side: -v . grad_x f plus the collision term.
 
-    collision is None (transport only), a BgkConfig, or a (SpectralPlan,
-    epsilon) pair. epsilon = inf is the collisionless sentinel and skips the
-    collision term entirely.
+    weno_cfg is None (no transport) or a WenoConfig. collision is None
+    (transport only), a BgkConfig, or a (SpectralPlan, epsilon) pair.
+    epsilon = inf is the collisionless sentinel and skips the collision term
+    entirely. work is the dict of transport work buffers (see transport_weno).
     """
     if weno_cfg is not None:
-        out = transport_rhs(field, weno_cfg)
+        out = transport_rhs(field, weno_cfg, work)
     else:
         out = np.zeros_like(field.values)
     if collision is None:
@@ -220,9 +221,14 @@ def rhs_total(field, weno_cfg=None, collision=None):
 
 
 def make_rhs(sgrid, vgrid, weno_cfg=None, collision=None):
-    """Bind grids and operator configuration into an array -> array RHS."""
+    """Bind grids and operator configuration into an array -> array RHS.
+
+    The closure owns the transport work buffers and reuses them on every
+    call, so use one closure per thread; each call returns a new array.
+    """
+    work = {}
 
     def rhs(values):
-        return rhs_total(DistributionField(values, sgrid, vgrid), weno_cfg, collision)
+        return rhs_total(DistributionField(values, sgrid, vgrid), weno_cfg, collision, work)
 
     return rhs

@@ -513,17 +513,22 @@ def _cmd_plan(args):
     print(f"grid        {run.sgrid.counts} cells, {run.vgrid.counts} velocity nodes")
     print(f"weno_k      {run.weno.k}")
     plan = run.plan
-    n = math.ceil(run.t_end / plan.h[-1]) if run.t_end > 0 else 0
+    # the run's own stepping on a scalar no-op RHS counts its steps per level
+    counts = [0] * (plan.levels + 1)
+    times = run.snapshot_times
+    for i in range(1, len(times)):
+        _advance(lambda y: 0.0, 0.0, times[i] - times[i - 1], plan, counts)
     if plan.levels == 0:
         print(f"dt          {plan.h[0]:g}")
-        print(f"steps       {n} to t={run.t_end:g}")
+        print(f"steps       {counts[0]} to t={run.t_end:g}")
     else:
         print(f"levels      {plan.levels}")
         print(f"h           {' '.join(f'{h:g}' for h in plan.h)}")
         print(f"K           {' '.join(str(k) for k in plan.K)}")
         print(f"M           {' '.join(f'{m:g}' for m in plan.M)}")
         print(f"tableau     {_tableau_name(plan)}")
-        print(f"outer steps {n} to t={run.t_end:g}")
+        print(f"steps/level {' '.join(str(c) for c in counts)}")
+        print(f"outer steps {counts[-1]} to t={run.t_end:g}")
         print(f"speedup     {speedup(plan):.4f}")
     return 0
 

@@ -4,6 +4,18 @@ Each velocity node advects with its constant speed component, so upwinding is
 a sign split per node: positive speeds take the left-biased interface value,
 negative speeds the right-biased (mirrored) one. The conservative interface
 difference telescopes, so periodic transport conserves mass to roundoff.
+
+The padded lines, smoothness indicators, weights, candidates and fluxes live
+in work buffers of one block's size, kept in a plain dict that the caller
+owns and passes to every call: `integrators.make_rhs` makes one per RHS
+closure, so a closure is not safe to share between threads. Buffers are
+keyed by name and shape, so each axis and a ragged last block get their own.
+Reusing them keeps the memory warm from one call to the next instead of
+returning it to the operating system and faulting it in again. The returned
+array is still new on every call: Runge-Kutta stages keep earlier slopes and
+the Jacobian probe subtracts two consecutive results, so the output must never
+alias a buffer. Every operation runs in the order of the plain array formulas
+in the comments, so the result is the same bit for bit.
 """
 
 from dataclasses import dataclass
@@ -38,58 +50,127 @@ class WenoConfig:
             raise ConfigurationError(f"unsupported reconstruction order k={self.k}")
 
 
-def _betas(k, P, n):
+def _buf(work, name, shape):
+    """The work array `name` of this shape, allocated on first use."""
+    arr = work.get((name, shape))
+    if arr is None:
+        arr = work[(name, shape)] = np.empty(shape)
+    return arr
+
+
+def _betas(k, P, n, work):
     """Smoothness indicators of the n windows P[i : i + 2k - 1] along axis 0.
 
     Window i is centered on P[i + k - 1]. Sub-expressions that the stencils
-    share up to a shift are formed once over P and sliced.
+    share up to a shift are formed once over P and sliced. The results are
+    work buffers, overwritten by the next call.
     """
+    shape = (n,) + P.shape[1:]
     if k == 1:
-        return (np.zeros_like(P[:n]),)
+        b = _buf(work, "b0", shape)
+        b.fill(0.0)
+        return (b,)
     if k == 2:
-        sq = (P[:-1] - P[1:]) ** 2
+        sq = _buf(work, "sq", (n + 1,) + P.shape[1:])
+        np.subtract(P[: n + 1], P[1 : n + 2], out=sq)
+        np.square(sq, out=sq)
         return (sq[1 : n + 1], sq[:n])
-    curv = _K1312 * (P[:-2] - 2 * P[1:-1] + P[2:]) ** 2
-    P3, P4 = 3 * P, 4 * P
-    b0 = curv[2 : n + 2] + 0.25 * (P3[2 : n + 2] - P4[3 : n + 3] + P[4 : n + 4]) ** 2
-    b1 = curv[1 : n + 1] + 0.25 * (P[1 : n + 1] - P[3 : n + 3]) ** 2
-    b2 = curv[:n] + 0.25 * (P[:n] - P4[1 : n + 1] + P3[2 : n + 2]) ** 2
+    # curv = 13/12 (P[i] - 2 P[i+1] + P[i+2])^2
+    curv = _buf(work, "curv", (n + 2,) + P.shape[1:])
+    np.multiply(2, P[1 : n + 3], out=curv)
+    np.subtract(P[: n + 2], curv, out=curv)
+    np.add(curv, P[2 : n + 4], out=curv)
+    np.square(curv, out=curv)
+    np.multiply(_K1312, curv, out=curv)
+    P3 = np.multiply(3, P, out=_buf(work, "P3", P.shape))
+    P4 = np.multiply(4, P, out=_buf(work, "P4", P.shape))
+    b0, b1, b2 = (_buf(work, f"b{l}", shape) for l in range(3))
+    # b0 = curv[2:] + 1/4 (3 P[2:] - 4 P[3:] + P[4:])^2
+    np.subtract(P3[2 : n + 2], P4[3 : n + 3], out=b0)
+    np.add(b0, P[4 : n + 4], out=b0)
+    # b1 = curv[1:] + 1/4 (P[1:] - P[3:])^2
+    np.subtract(P[1 : n + 1], P[3 : n + 3], out=b1)
+    # b2 = curv + 1/4 (P - 4 P[1:] + 3 P[2:])^2
+    np.subtract(P[:n], P4[1 : n + 1], out=b2)
+    np.add(b2, P3[2 : n + 2], out=b2)
+    for b, c in ((b0, 2), (b1, 1), (b2, 0)):
+        np.square(b, out=b)
+        np.multiply(0.25, b, out=b)
+        np.add(curv[c : c + n], b, out=b)
     return (b0, b1, b2)
 
 
-def _candidates(k, P, n):
+def _candidates(k, P, n, work):
     """Per-stencil values at the right edge of each window's center cell."""
     if k == 1:
         return (P[:n],)
+    shape = (n,) + P.shape[1:]
     if k == 2:
-        H = 0.5 * P
-        return (H[1 : n + 1] + H[2 : n + 2], 1.5 * P[1 : n + 1] - H[:n])
-    P2, P5 = 2 * P, 5 * P
-    p0 = (P2[2 : n + 2] + P5[3 : n + 3] - P[4 : n + 4]) / 6.0
-    p1 = (-P[1 : n + 1] + P5[2 : n + 2] + P2[3 : n + 3]) / 6.0
-    p2 = (P2[:n] - 7 * P[1 : n + 1] + 11 * P[2 : n + 2]) / 6.0
+        half = _buf(work, "half", (n + 2,) + P.shape[1:])
+        np.multiply(0.5, P[: n + 2], out=half)
+        p0, p1 = _buf(work, "p0", shape), _buf(work, "p1", shape)
+        np.add(half[1 : n + 1], half[2 : n + 2], out=p0)
+        np.multiply(1.5, P[1 : n + 1], out=p1)
+        np.subtract(p1, half[:n], out=p1)
+        return (p0, p1)
+    P2 = np.multiply(2, P, out=_buf(work, "P2", P.shape))
+    P5 = np.multiply(5, P, out=_buf(work, "P5", P.shape))
+    u = _buf(work, "u", shape)
+    p0, p1, p2 = (_buf(work, f"p{l}", shape) for l in range(3))
+    # p0 = (2 P[2:] + 5 P[3:] - P[4:]) / 6
+    np.add(P2[2 : n + 2], P5[3 : n + 3], out=p0)
+    np.subtract(p0, P[4 : n + 4], out=p0)
+    # p1 = (-P[1:] + 5 P[2:] + 2 P[3:]) / 6; b - a is bitwise (-a) + b
+    np.subtract(P5[2 : n + 2], P[1 : n + 1], out=p1)
+    np.add(p1, P2[3 : n + 3], out=p1)
+    # p2 = (2 P - 7 P[1:] + 11 P[2:]) / 6
+    np.multiply(7, P[1 : n + 1], out=u)
+    np.subtract(P2[:n], u, out=p2)
+    np.multiply(11, P[2 : n + 2], out=u)
+    np.add(p2, u, out=p2)
+    for p in (p0, p1, p2):
+        np.divide(p, 6.0, out=p)
     return (p0, p1, p2)
 
 
-def _reconstruct_left(k, P, n):
-    """Left-biased WENO values for the n windows P[i : i + 2k - 1]."""
+def _reconstruct_left(k, P, n, work):
+    """Left-biased WENO values for the n windows P[i : i + 2k - 1].
+
+    The result is a work buffer, overwritten by the next call.
+    """
     d = IDEAL_WEIGHTS[k]
-    betas = _betas(k, P, n)
-    alphas = [d[l] / (DELTA + betas[l]) ** 2 for l in range(k)]
-    total = sum(alphas)
-    ps = _candidates(k, P, n)
-    return sum(a * p for a, p in zip(alphas, ps)) / total
+    betas = _betas(k, P, n, work)
+    shape = betas[0].shape
+    alphas = []
+    for l in range(k):  # d_l / (DELTA + beta_l)^2
+        a = _buf(work, f"a{l}", shape)
+        np.add(DELTA, betas[l], out=a)
+        np.square(a, out=a)
+        np.divide(d[l], a, out=a)
+        alphas.append(a)
+    total = alphas[0]
+    for a in alphas[1:]:
+        total = np.add(total, a, out=_buf(work, "total", shape))
+    ps = _candidates(k, P, n, work)
+    num = np.multiply(alphas[0], ps[0], out=_buf(work, "num", shape))
+    for a, p in zip(alphas[1:], ps[1:]):
+        np.multiply(a, p, out=a)
+        np.add(num, a, out=num)
+    return np.divide(num, total, out=num)
 
 
-def _pad(sub, k, boundary):
+def _fill_ghosts(P, k, boundary):
+    """Write the k ghost cells at each end of the padded lines P in place."""
+    n = P.shape[0] - 2 * k
     if boundary == "periodic":
-        return np.concatenate([sub[-k:], sub, sub[:k]], axis=0)
-    lo = np.repeat(sub[:1], k, axis=0)
-    hi = np.repeat(sub[-1:], k, axis=0)
-    return np.concatenate([lo, sub, hi], axis=0)
+        P[:k] = P[n : n + k]
+        P[n + k :] = P[k : 2 * k]
+    else:
+        P[:k] = P[k]
+        P[n + k :] = P[n + k - 1]
 
 
-def transport_rhs(field, cfg):
+def transport_rhs(field, cfg, work):
     """-v.grad_x f with upwind WENO interface fluxes, all spatial axes.
 
     A negative speed v is the speed |v| on the mirrored axis, and the
@@ -99,16 +180,20 @@ def transport_rhs(field, cfg):
     exact, so this is bit-for-bit the two-sided upwind scheme. Lines along
     the axis are independent and are reconstructed in blocks of about
     ``_BLOCK_POINTS`` values that keep the stencil temporaries in cache.
+
+    ``work`` is the caller's dict of work buffers (see the module notes);
+    the returned array is new on every call.
     """
     sg, vg = field.sgrid, field.vgrid
     if vg.dv < sg.dx_dims:
         raise ConfigurationError("velocity dimension must cover every transported axis")
     f = field.values
+    k = cfg.k
     out = np.zeros_like(f)
     for a in range(sg.dx_dims):
-        if sg.counts[a] < 2 * cfg.k - 1:
+        if sg.counts[a] < 2 * k - 1:
             raise ConfigurationError(
-                f"axis {a}: {sg.counts[a]} cells < stencil width {2 * cfg.k - 1}"
+                f"axis {a}: {sg.counts[a]} cells < stencil width {2 * k - 1}"
             )
         va = sg.dx_dims + a  # array axis of the matching velocity component
         speeds = vg.axes[a]
@@ -116,20 +201,29 @@ def transport_rhs(field, cfg):
         h = sg.spacings[a]
         fa = np.moveaxis(f, a, 0)
         oa = np.moveaxis(out, a, 0)
+        N = fa.shape[0]
         neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(fa.ndim))
         pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(fa.ndim))
-        lines = np.concatenate([fa[neg][::-1], fa[pos]], axis=va)
-        o_neg, o_pos = oa[neg][::-1], oa[pos]  # output views, laid out as lines
         w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(fa.ndim)])
         # blocks cut a transverse axis other than va (none in 1D/1V: one block)
         bax = next((i for i in range(1, fa.ndim) if i != va), None)
-        n_b = 1 if bax is None else lines.shape[bax]
-        step = max(1, _BLOCK_POINTS * n_b // lines.size)
+        n_b = 1 if bax is None else fa.shape[bax]
+        step = max(1, _BLOCK_POINTS * n_b // fa.size)
         for j in range(0, n_b, step):
             blk = tuple(slice(j, j + step) if i == bax else slice(None) for i in range(fa.ndim))
-            P = _pad(lines[blk], cfg.k, sg.boundaries[a])
-            fhat = _reconstruct_left(cfg.k, P, P.shape[0] - 2 * cfg.k + 1)
-            flux = w * (fhat[1:] - fhat[:-1]) / h
-            o_neg[blk] -= flux[neg]
-            o_pos[blk] -= flux[pos]
+            fb, ob = fa[blk], oa[blk]
+            # padded lines: the negative-speed half mirrored, then ghost cells
+            P = _buf(work, "P", (N + 2 * k,) + fb.shape[1:])
+            lines = P[k : N + k]
+            lines[neg] = fb[neg][::-1]
+            lines[pos] = fb[pos]
+            _fill_ghosts(P, k, sg.boundaries[a])
+            fhat = _reconstruct_left(k, P, N + 1, work)
+            flux = _buf(work, "flux", fb.shape)
+            np.subtract(fhat[1:], fhat[:-1], out=flux)
+            np.multiply(w, flux, out=flux)
+            np.divide(flux, h, out=flux)
+            o_neg, o_pos = ob[neg][::-1], ob[pos]  # output views, laid out as lines
+            np.subtract(o_neg, flux[neg], out=o_neg)
+            np.subtract(o_pos, flux[pos], out=o_pos)
     return out

@@ -248,7 +248,7 @@ def test_acceptance_09_transport_order():
         vg = VelocityGrid(1, 2.0, 2)
         x = sg.centers[0]
         f = np.tile(np.sin(2 * np.pi * x)[:, None], (1, 2))
-        r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=k))
+        r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=k), {})
         return np.mean(np.abs(r[:, 1] + 2 * np.pi * np.cos(2 * np.pi * x)))
 
     o2 = math.log2(l1_err(256, 2) / l1_err(512, 2))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from kinproj.integrators import (
     telescopic_step,
 )
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
+from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.transport_weno import WenoConfig, transport_rhs
 
 MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
@@ -240,7 +242,7 @@ def test_rhs_total_transport_only_is_exact():
     rng = np.random.default_rng(8)
     field = DistributionField(rng.uniform(0.5, 1.0, size=(32, 16)), sg, vg)
     cfg = WenoConfig(k=2)
-    assert np.array_equal(rhs_total(field, cfg, None), transport_rhs(field, cfg))
+    assert np.array_equal(rhs_total(field, cfg, None, {}), transport_rhs(field, cfg, {}))
 
 
 def test_rhs_total_collisionless_sentinel_bitwise():
@@ -260,13 +262,42 @@ def test_rhs_total_collisionless_sentinel_bitwise():
     assert np.array_equal(x, y)
 
 
+def test_rhs_returns_a_new_array_each_call():
+    # rk_step keeps earlier stage slopes and jacobian_probe subtracts two
+    # consecutive results, so a result must survive the next call
+    run = resolve_run("sod_1d1d")
+    f = initial_field(run)
+    g = f * np.random.default_rng(3).uniform(0.9, 1.1, f.shape)
+    r1 = run.rhs(f)
+    r1c = r1.copy()
+    r2 = run.rhs(g)
+    assert np.array_equal(r1, r1c)
+    assert r2 is not r1
+    assert not np.shares_memory(r1, r2)
+
+
+def test_rhs_allocation_budget():
+    # a warmed closure reuses its transport buffers: one call on the paper
+    # grid allocates little beyond its result and the BGK Maxwellian
+    run = resolve_run("sod_1d1d")
+    f = initial_field(run)
+    run.rhs(f)
+    tracemalloc.start()
+    try:
+        run.rhs(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * f.nbytes
+
+
 def test_rhs_total_uniform_maxwellian_vanishes():
     vg = VelocityGrid(1, 8.0, 64)
     sg = SpatialGrid([0.0], [1.0], [8], "periodic")
     slice_m = maxwellian(vg, 1.0, [0.0], 1.0)
     field = DistributionField(np.broadcast_to(slice_m, (8, 64)).copy(), sg, vg)
     bgk = BgkConfig(frequency_mode="constant", nu0=1.0, epsilon=1.0)
-    total = rhs_total(field, WenoConfig(k=2), bgk)
+    total = rhs_total(field, WenoConfig(k=2), bgk, {})
     assert np.abs(total).max() <= 1e-6
 
 
@@ -278,11 +309,12 @@ def test_rhs_total_boltzmann_assembly():
     field = DistributionField(values, sg, vg)
     plan = SpectralPlan(16, 8.0)
     cfg = WenoConfig(k=2)
-    total = rhs_total(field, cfg, (plan, 0.5))
-    manual = transport_rhs(field, cfg) + boltzmann_rhs(field, plan, 0.5)
+    total = rhs_total(field, cfg, (plan, 0.5), {})
+    manual = transport_rhs(field, cfg, {}) + boltzmann_rhs(field, plan, 0.5)
     assert np.array_equal(total, manual)
     # collisionless sentinel skips the spectral evaluation entirely
-    assert np.array_equal(rhs_total(field, cfg, (plan, math.inf)), transport_rhs(field, cfg))
+    assert np.array_equal(rhs_total(field, cfg, (plan, math.inf), {}),
+                          transport_rhs(field, cfg, {}))
 
 
 def test_rhs_total_collision_only():
@@ -292,4 +324,4 @@ def test_rhs_total_collision_only():
     values = rng.uniform(0.5, 1.0, size=(4, 32))
     field = DistributionField(values, sg, vg)
     bgk = BgkConfig(frequency_mode="constant", nu0=1.0, epsilon=0.1)
-    assert np.array_equal(rhs_total(field, None, bgk), bgk_rhs(field, bgk))
+    assert np.array_equal(rhs_total(field, None, bgk, {}), bgk_rhs(field, bgk))

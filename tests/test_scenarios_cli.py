@@ -283,10 +283,24 @@ def test_plan_command(capsys):
     out = capsys.readouterr().out
     assert "speedup     133.3333" in out
     assert "M           397" in out
+    # five snapshots: 4 intervals of 0.0375, each 37 steps of 1e-3 and one
+    # landing step; with two snapshots, the 150 steps of test_rk4_step_count
     assert main(["plan", "--scenario", "sod_1d1d", "--integrator", "rk4",
                  "--epsilon", "0.1", "--cfl", "0.1"]) == 0
     out = capsys.readouterr().out
-    assert "steps       150" in out
+    assert "steps       152 to t=0.15" in out
+    assert main(["plan", "--scenario", "sod_1d1d", "--integrator", "rk4",
+                 "--epsilon", "0.1", "--cfl", "0.1", "--snapshots", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "steps       150 to t=0.15" in out
+
+
+def test_plan_command_counts_the_run_steps(capsys):
+    # the run of test_manifest_plan_bookkeeping takes [240, 20] steps
+    assert main(["plan", "--scenario", "sod_1d1d", "--nx", "50", "--nv", "32"]) == 0
+    out = capsys.readouterr().out
+    assert "steps/level 240 20\n" in out
+    assert "outer steps 20 to t=0.15\n" in out
 
 
 def test_spectrum_command(tmp_path, capsys):

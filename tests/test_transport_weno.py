@@ -4,6 +4,7 @@ import pytest
 from kinproj.errors import ConfigurationError
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
 from kinproj.transport_weno import (
+    _K1312,
     DELTA,
     IDEAL_WEIGHTS,
     WenoConfig,
@@ -11,6 +12,129 @@ from kinproj.transport_weno import (
     _reconstruct_left,
     transport_rhs,
 )
+
+
+# ---- reference kernel: the plain array formulas, each step a new array, and
+# whole lines at once (no blocks). transport_rhs must agree bit for bit.
+
+def ref_betas(k, P, n):
+    if k == 1:
+        return (np.zeros_like(P[:n]),)
+    if k == 2:
+        sq = (P[:-1] - P[1:]) ** 2
+        return (sq[1 : n + 1], sq[:n])
+    curv = _K1312 * (P[:-2] - 2 * P[1:-1] + P[2:]) ** 2
+    P3, P4 = 3 * P, 4 * P
+    b0 = curv[2 : n + 2] + 0.25 * (P3[2 : n + 2] - P4[3 : n + 3] + P[4 : n + 4]) ** 2
+    b1 = curv[1 : n + 1] + 0.25 * (P[1 : n + 1] - P[3 : n + 3]) ** 2
+    b2 = curv[:n] + 0.25 * (P[:n] - P4[1 : n + 1] + P3[2 : n + 2]) ** 2
+    return (b0, b1, b2)
+
+
+def ref_candidates(k, P, n):
+    if k == 1:
+        return (P[:n],)
+    if k == 2:
+        H = 0.5 * P
+        return (H[1 : n + 1] + H[2 : n + 2], 1.5 * P[1 : n + 1] - H[:n])
+    P2, P5 = 2 * P, 5 * P
+    p0 = (P2[2 : n + 2] + P5[3 : n + 3] - P[4 : n + 4]) / 6.0
+    p1 = (-P[1 : n + 1] + P5[2 : n + 2] + P2[3 : n + 3]) / 6.0
+    p2 = (P2[:n] - 7 * P[1 : n + 1] + 11 * P[2 : n + 2]) / 6.0
+    return (p0, p1, p2)
+
+
+def ref_reconstruct_left(k, P, n):
+    d = IDEAL_WEIGHTS[k]
+    alphas = [d[l] / (DELTA + b) ** 2 for l, b in enumerate(ref_betas(k, P, n))]
+    return sum(a * p for a, p in zip(alphas, ref_candidates(k, P, n))) / sum(alphas)
+
+
+def ref_pad(sub, k, boundary):
+    if boundary == "periodic":
+        return np.concatenate([sub[-k:], sub, sub[:k]], axis=0)
+    lo = np.repeat(sub[:1], k, axis=0)
+    hi = np.repeat(sub[-1:], k, axis=0)
+    return np.concatenate([lo, sub, hi], axis=0)
+
+
+def ref_transport(field, k):
+    sg, vg = field.sgrid, field.vgrid
+    f = field.values
+    out = np.zeros_like(f)
+    for a in range(sg.dx_dims):
+        va = sg.dx_dims + a
+        speeds = vg.axes[a]
+        n_neg = int(np.searchsorted(speeds, 0.0))
+        fa = np.moveaxis(f, a, 0)
+        oa = np.moveaxis(out, a, 0)
+        neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(fa.ndim))
+        pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(fa.ndim))
+        lines = np.concatenate([fa[neg][::-1], fa[pos]], axis=va)
+        P = ref_pad(lines, k, sg.boundaries[a])
+        fhat = ref_reconstruct_left(k, P, P.shape[0] - 2 * k + 1)
+        w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(fa.ndim)])
+        flux = w * (fhat[1:] - fhat[:-1]) / sg.spacings[a]
+        oa[neg][::-1] -= flux[neg]
+        oa[pos] -= flux[pos]
+    return out
+
+
+# (lower, upper, cells, boundaries, dv, velocity nodes); the last 2D grid cuts
+# both axes into several blocks with a shorter last one
+REFERENCE_GRIDS = [
+    ((0.0,), (1.0,), (30,), "periodic", 1, (11,)),
+    ((0.0,), (1.0,), (30,), "outflow", 1, (12,)),
+    ((0.0,), (1.0,), (20,), "outflow", 2, (8, 6)),
+    ((0.0,), (1.0,), (20,), "periodic", 2, (7, 6)),
+    ((0.0, 0.0), (1.0, 2.0), (9, 7), ("outflow", "periodic"), 2, (6, 4)),
+    ((0.0, 0.0), (1.0, 1.0), (24, 22), ("periodic", "outflow"), 2, (8, 8)),
+]
+
+
+def reference_field(grid, seed):
+    lower, upper, counts, boundaries, dv, vcounts = grid
+    sg = SpatialGrid(lower, upper, counts, boundaries)
+    vg = VelocityGrid(dv, 4.0, vcounts)
+    f = np.random.default_rng(seed).uniform(0.0, 1.0, sg.counts + vg.counts)
+    f[f < 0.2] = 0.0  # flat stretches give exact zeros and zero fluxes
+    return DistributionField(f, sg, vg)
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_transport_matches_reference_bitwise(grid, k):
+    fld = reference_field(grid, 11)
+    assert_bitwise(transport_rhs(fld, WenoConfig(k=k), {}), ref_transport(fld, k))
+
+
+def test_reference_grid_has_ragged_blocks():
+    # work buffers are keyed by (name, shape): on the last reference grid each
+    # axis pads full blocks and a shorter last one
+    work = {}
+    transport_rhs(reference_field(REFERENCE_GRIDS[-1], 0), WenoConfig(k=2), work)
+    padded = sorted(shape for name, shape in work if name == "P")
+    assert [shape[:2] for shape in padded] == [(26, 4), (26, 5), (28, 2), (28, 5)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reused_work_matches_fresh(k):
+    cfg = WenoConfig(k=k)
+    for grid in REFERENCE_GRIDS:
+        work = {}
+        first = transport_rhs(reference_field(grid, 1), cfg, work)
+        kept = first.copy()
+        g = reference_field(grid, 2)
+        second = transport_rhs(g, cfg, work)
+        assert_bitwise(second, transport_rhs(g, cfg, {}))
+        assert second is not first
+        assert_bitwise(first, kept)
 
 
 def sine_field(N, k, nv=2):
@@ -29,11 +153,11 @@ def column(window, side="left"):
 
 
 def betas(k, window):
-    return tuple(b.item() for b in _betas(k, column(window), 1))
+    return tuple(b.item() for b in _betas(k, column(window), 1, {}))
 
 
 def reconstruct(k, window, side):
-    return _reconstruct_left(k, column(window, side), 1).item()
+    return _reconstruct_left(k, column(window, side), 1, {}).item()
 
 
 def weights(k, window):
@@ -127,7 +251,7 @@ def test_transport_constant_field_is_zero():
     sg = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), ("periodic", "outflow"))
     vg = VelocityGrid(2, 4.0, 6)
     f = np.full(sg.counts + vg.counts, 0.7)
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2))
+    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2), {})
     assert np.all(r == 0.0)
 
 
@@ -136,7 +260,7 @@ def test_transport_observed_order(k, pair, floor):
     errs = []
     for N in pair:
         fld, x = sine_field(N, k)
-        r = transport_rhs(fld, WenoConfig(k=k))
+        r = transport_rhs(fld, WenoConfig(k=k), {})
         exact = -2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.mean(np.abs(r[:, 1] - exact)))
     assert np.log2(errs[0] / errs[1]) >= floor
@@ -145,7 +269,7 @@ def test_transport_observed_order(k, pair, floor):
 def test_transport_upwind_mirror_symmetry():
     # v = -1 node advects the mirrored way: rhs = +2 pi cos for sin data
     fld, x = sine_field(128, 2)
-    r = transport_rhs(fld, WenoConfig(k=2))
+    r = transport_rhs(fld, WenoConfig(k=2), {})
     exact = 2 * np.pi * np.cos(2 * np.pi * x)
     assert np.mean(np.abs(r[:, 0] - exact)) <= 5e-3
 
@@ -157,7 +281,7 @@ def test_transport_conserves_mass_periodic():
     rng = np.random.default_rng(2)
     prof = 1.0 + 0.5 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)
     f = prof[:, None] * rng.uniform(0.5, 1.0, vg.counts)[None, :]
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=3))
+    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=3), {})
     for j in range(vg.counts[0]):
         scale = np.sum(np.abs(r[:, j])) + 1e-300
         assert abs(np.sum(r[:, j])) / scale <= 1e-12
@@ -173,15 +297,15 @@ def test_upwind_stencil_dependence():
     f = rng.uniform(0.5, 1.5, sg.counts + vg.counts)
     k = 2
     cfg = WenoConfig(k=k)
-    base = transport_rhs(DistributionField(f, sg, vg), cfg)
+    base = transport_rhs(DistributionField(f, sg, vg), cfg, {})
     i = 12
     g = f.copy()
     g[i + k + 1 :, 1] += 10.0  # strictly right of the positive-speed stencil at i
-    pos = transport_rhs(DistributionField(g, sg, vg), cfg)
+    pos = transport_rhs(DistributionField(g, sg, vg), cfg, {})
     assert pos[i, 1] == base[i, 1]
     g2 = f.copy()
     g2[: i - k, 0] += 10.0  # strictly left of the negative-speed stencil at i
-    neg = transport_rhs(DistributionField(g2, sg, vg), cfg)
+    neg = transport_rhs(DistributionField(g2, sg, vg), cfg, {})
     assert neg[i, 0] == base[i, 0]
 
 
@@ -190,7 +314,7 @@ def test_outflow_boundary_linear_profile():
     vg = VelocityGrid(1, 2.0, 2)
     x = sg.centers[0]
     f = np.tile((2.0 + 3.0 * x)[:, None], (1, 2))
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2))
+    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2), {})
     # interior cells see exact linear reconstruction: rhs = -v * slope
     interior = slice(3, -3)
     np.testing.assert_allclose(r[interior, 1], -3.0, rtol=1e-12)
@@ -208,13 +332,13 @@ def test_transport_axis_pairing_2d():
     rng = np.random.default_rng(4)
     vmod = rng.uniform(0.5, 1.0, vg.counts)
     f2 = base[:, None, None, None] * np.ones(6)[None, :, None, None] * vmod
-    r2 = transport_rhs(DistributionField(f2, sg, vg), WenoConfig(k=2))
+    r2 = transport_rhs(DistributionField(f2, sg, vg), WenoConfig(k=2), {})
     for iy in range(1, 6):
         np.testing.assert_array_equal(r2[:, iy], r2[:, 0])
     # against an explicitly assembled 1D/2V equivalent
     sg1 = SpatialGrid((0.0,), (1.0,), 32, "periodic")
     f1 = base[:, None, None] * vmod
-    r1 = transport_rhs(DistributionField(f1, sg1, vg), WenoConfig(k=2))
+    r1 = transport_rhs(DistributionField(f1, sg1, vg), WenoConfig(k=2), {})
     np.testing.assert_allclose(r2[:, 0], r1, rtol=1e-13, atol=1e-16)
 
 
@@ -225,4 +349,4 @@ def test_configuration_errors():
     vg = VelocityGrid(1, 2.0, 2)
     f = DistributionField(np.ones((3, 2)), sg, vg)
     with pytest.raises(ConfigurationError):
-        transport_rhs(f, WenoConfig(k=3))  # needs 5 cells
+        transport_rhs(f, WenoConfig(k=3), {})  # needs 5 cells
