@@ -14,9 +14,10 @@ from .integrators import FORWARD_EULER, IntegratorPlan
 
 
 def plan_levels(h0, h_target, factor):
-    """Levels needed so factor^L spans h_target/h0 (round half up, minimum 1)."""
-    if not (h0 > 0 and h_target > 0):
-        raise ConfigurationError("step sizes must be positive")
+    """Levels so factor^L spans h_target/h0: rounded half up and at least 1,
+    or 0 when h_target <= h0."""
+    if not (0 < h0 < math.inf and 0 < h_target < math.inf):
+        raise ConfigurationError("step sizes must be positive and finite")
     if not factor > 1:
         raise ConfigurationError(f"representative factor must exceed 1, got {factor}")
     if h_target <= h0:

@@ -38,7 +38,6 @@ from .phase_space import (
 )
 from .planner import adapt_M, plan_from_factors, plan_levels, speedup
 from .spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum, write_spectrum_csv
-from .transport_weno import WenoConfig
 
 INTEGRATORS = ("fe", "rk4", "pfe", "prk4", "tpfe", "tprk4")
 COLLISIONS = ("bgk", "bgk-rho", "boltzmann")
@@ -183,7 +182,7 @@ class ResolvedRun:
     scenario: Scenario
     sgrid: SpatialGrid
     vgrid: VelocityGrid
-    weno: WenoConfig
+    weno_k: int
     collision_name: str
     collision: object
     integrator: str
@@ -210,13 +209,13 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     vgrid = VelocityGrid(scen.dv, scen.half_width if half_width is None else half_width, vcounts)
 
     epsilon = scen.epsilon if epsilon is None else float(epsilon)
-    if not epsilon > 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     collision_name = collision or scen.collision
     if collision_name == "bgk":
-        coll = BgkConfig("constant", 1.0, epsilon)
+        coll = BgkConfig("constant", epsilon)
     elif collision_name == "bgk-rho":
-        coll = BgkConfig("proportional", 1.0, epsilon)
+        coll = BgkConfig("proportional", epsilon)
     elif collision_name == "boltzmann":
         if vgrid.dv != 2 or vcounts[0] != vcounts[1]:
             raise ConfigurationError(
@@ -230,8 +229,8 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     if integ not in INTEGRATORS:
         raise ConfigurationError(f"integrator must be one of {INTEGRATORS}, got {integ!r}")
     t_end = scen.t_end if t_end is None else float(t_end)
-    if t_end < 0:
-        raise ConfigurationError(f"end time must be non-negative, got {t_end}")
+    if not 0 <= t_end < math.inf:
+        raise ConfigurationError(f"end time must be non-negative and finite, got {t_end}")
     n_snap = 5 if snapshots is None else int(snapshots)
     if t_end == 0.0:
         snap_times = (0.0,)
@@ -243,6 +242,8 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     dx_min = min(sgrid.spacings)
     K_ = scen.K if K is None else int(K)
     h0_ = epsilon if h0 is None else float(h0)
+    if not 0 < h0_ < math.inf:  # min() below would drop a NaN
+        raise ConfigurationError(f"inner step must be positive and finite, got {h0_}")
     C = scen.cfl if cfl is None else cfl
     tableau = CLASSIC_RK4 if integ.endswith("rk4") else FORWARD_EULER
     if integ in ("fe", "rk4"):
@@ -264,14 +265,15 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
         elif integ == scen.integrator:
             L = scen.levels
         else:
-            L = plan_levels(h0_, C * dx_min, _LEVEL_FACTOR)
+            # at least one level, so that adapt_M names an infeasible target
+            L = max(1, plan_levels(h0_, C * dx_min, _LEVEL_FACTOR))
         factors = adapt_M(h0_, C * dx_min, K_, L)
     plan = plan_from_factors(h0_, K_, factors, tableau)
 
-    weno = WenoConfig(k=scen.weno_k if weno_k is None else weno_k)
-    rhs = make_rhs(sgrid, vgrid, weno, coll)
+    weno_k = scen.weno_k if weno_k is None else weno_k
+    rhs = make_rhs(sgrid, vgrid, weno_k, coll)
     return ResolvedRun(
-        scenario=scen, sgrid=sgrid, vgrid=vgrid, weno=weno,
+        scenario=scen, sgrid=sgrid, vgrid=vgrid, weno_k=weno_k,
         collision_name=collision_name, collision=coll, integrator=integ,
         plan=plan, epsilon=epsilon, t_end=t_end,
         snapshot_times=snap_times, rhs=rhs, preset=preset,
@@ -376,7 +378,7 @@ def run_simulation(run, out_dir):
         "integrator": run.integrator,
         "collision": run.collision_name,
         "epsilon": run.epsilon,
-        "weno_k": run.weno.k,
+        "weno_k": run.weno_k,
         "spatial": {
             "lower": list(run.sgrid.lower),
             "upper": list(run.sgrid.upper),
@@ -511,7 +513,7 @@ def _cmd_plan(args):
     print(f"collision   {run.collision_name}")
     print(f"epsilon     {run.epsilon:g}")
     print(f"grid        {run.sgrid.counts} cells, {run.vgrid.counts} velocity nodes")
-    print(f"weno_k      {run.weno.k}")
+    print(f"weno_k      {run.weno_k}")
     plan = run.plan
     # the run's own stepping on a scalar no-op RHS counts its steps per level
     counts = [0] * (plan.levels + 1)
@@ -536,13 +538,12 @@ def _cmd_plan(args):
 def _cmd_spectrum(args):
     if args.nu == "1":
         vgrid = VelocityGrid(2, 8.0, (16, 16))
-        op = build_linearized_bgk(vgrid, 1.0, args.epsilon)
-        report = spectrum(op)
+        report = spectrum(build_linearized_bgk(vgrid, args.epsilon))
     else:
         vgrid = VelocityGrid(1, 8.0, (16,))
         sgrid = SpatialGrid(0.0, 1.0, (2,), "periodic")
         f = maxwellian(vgrid, np.array([0.125, 1.0]), np.zeros((2, 1)), np.ones(2))
-        rhs = make_rhs(sgrid, vgrid, collision=BgkConfig("proportional", 1.0, args.epsilon))
+        rhs = make_rhs(sgrid, vgrid, None, BgkConfig("proportional", args.epsilon))
         report = spectrum(jacobian_probe(rhs, f))
     fast = np.abs(report.fast)
     print(f"eigenvalues {report.eigenvalues.size} "

@@ -1,6 +1,6 @@
 """Spectral diagnostics for linearized collision and transport operators.
 
-Assembles matrix-free linearizations on small phase-space grids, takes dense
+Builds dense linearizations on small phase-space grids, takes their
 spectra, and reports the fast/slow eigenvalue clusters whose gap the time
 integration planner relies on.
 """
@@ -20,25 +20,6 @@ GRAM_TOLERANCE = 0.01
 # when locating the cluster gap: conserved modes sit at exact zero next to
 # small diffusive modes, and that boundary would otherwise always win.
 SPLIT_FLOOR = 1e-4
-
-
-class LinearizedOperator:
-    """Matrix-free linear map on flat real vectors of fixed dimension."""
-
-    def __init__(self, action, dimension):
-        dimension = int(dimension)
-        if dimension < 1:
-            raise ConfigurationError(f"operator dimension must be positive, got {dimension}")
-        self.action = action
-        self.dimension = dimension
-
-    def __call__(self, vec):
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (self.dimension,):
-            raise ConfigurationError(
-                f"operator expects shape ({self.dimension},), got {vec.shape}"
-            )
-        return np.asarray(self.action(vec), dtype=float)
 
 
 def collision_invariant_basis(vgrid):
@@ -67,16 +48,14 @@ def gram_deviation(vgrid):
     return float(np.max(np.abs(gram - np.eye(psi.shape[0]))))
 
 
-def build_linearized_bgk(vgrid, nu, epsilon):
-    """Linearized BGK relaxation -(nu/eps)(I - Pi) on one velocity grid.
+def build_linearized_bgk(vgrid, epsilon):
+    """Linearized BGK relaxation -(1/eps)(I - Pi) on one velocity grid.
 
     Pi is the orthogonal projection onto the collision invariants under the
     standard-normal-weighted inner product, discretized by the grid quadrature.
     """
-    if not (np.isscalar(nu) and np.isfinite(nu) and nu > 0):
-        raise ConfigurationError(f"nu must be a positive scalar, got {nu!r}")
-    if not (np.isfinite(epsilon) and epsilon > 0):
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon!r}")
     n = vgrid.n_nodes
     if n > MAX_DENSE_DIMENSION:
         raise ConfigurationError(
@@ -89,35 +68,40 @@ def build_linearized_bgk(vgrid, nu, epsilon):
             f"(Gram deviation {dev:.3g} > {GRAM_TOLERANCE})"
         )
     psi, weight = collision_invariant_basis(vgrid)
-    rate = nu / epsilon
-    wpsi = psi * weight
-
-    def action(g):
-        return -rate * (g - psi.T @ (wpsi @ g))
-
-    return LinearizedOperator(action, n)
+    return -(1.0 / epsilon) * (np.eye(n) - psi.T @ (psi * weight))
 
 
 def jacobian_probe(rhs, state, eta=None):
-    """Central-difference Jacobian action of rhs around the given state."""
+    """Dense central-difference Jacobian of rhs around the given state.
+
+    Column i is (rhs(state + eta e_i) - rhs(state - eta e_i)) / (2 eta) over
+    the flattened state: 2n RHS calls for n state entries.
+    """
     state = np.asarray(state, dtype=float)
     if not np.all(np.isfinite(state)):
         raise ConfigurationError("probe state must be finite")
+    n = state.size
+    if n > MAX_DENSE_DIMENSION:
+        raise ConfigurationError(
+            f"dimension {n} above the dense-probe limit {MAX_DENSE_DIMENSION}"
+        )
     if eta is None:
         eta = 1e-7 * np.linalg.norm(state.ravel())
         if eta == 0.0:
             eta = 1e-7
     if not (np.isfinite(eta) and eta > 0):
         raise ConfigurationError(f"probe increment must be positive, got {eta!r}")
-
-    def action(u):
-        bump = eta * u.reshape(state.shape)
+    mat = np.empty((n, n))
+    bump = np.zeros(state.shape)
+    flat = bump.reshape(-1)
+    for i in range(n):
+        flat[i] = eta
         diff = (rhs(state + bump) - rhs(state - bump)) / (2.0 * eta)
         if not np.all(np.isfinite(diff)):
             raise DiagnosticError("non-finite probe response")
-        return diff.ravel()
-
-    return LinearizedOperator(action, state.size)
+        mat[:, i] = diff.ravel()
+        flat[i] = 0.0
+    return mat
 
 
 class SpectrumReport:
@@ -137,23 +121,9 @@ class SpectrumReport:
         return self.eigenvalues[self.split :]
 
 
-def _assemble(op):
-    mat = np.empty((op.dimension, op.dimension))
-    basis = np.zeros(op.dimension)
-    for i in range(op.dimension):
-        basis[i] = 1.0
-        mat[:, i] = op(basis)
-        basis[i] = 0.0
-    return mat
-
-
-def spectrum(op):
-    """Dense spectrum of a small operator, split at the largest relative gap."""
-    if op.dimension > MAX_DENSE_DIMENSION:
-        raise ConfigurationError(
-            f"dimension {op.dimension} above the dense-probe limit {MAX_DENSE_DIMENSION}"
-        )
-    eig = np.linalg.eigvals(_assemble(op))
+def spectrum(matrix):
+    """Dense spectrum of a small square matrix, split at the largest relative gap."""
+    eig = np.linalg.eigvals(matrix)
     eig = eig[np.argsort(np.abs(eig), kind="stable")]
     mags = np.abs(eig)
     if eig.size == 1 or mags[-1] == 0.0:

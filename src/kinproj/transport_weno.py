@@ -18,8 +18,6 @@ alias a buffer. Every operation runs in the order of the plain array formulas
 in the comments, so the result is the same bit for bit.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -39,15 +37,6 @@ _K1312 = 13.0 / 12.0
 
 # values per block of transport lines (see transport_rhs)
 _BLOCK_POINTS = 8192
-
-
-@dataclass
-class WenoConfig:
-    k: int = 2
-
-    def __post_init__(self):
-        if self.k not in IDEAL_WEIGHTS:
-            raise ConfigurationError(f"unsupported reconstruction order k={self.k}")
 
 
 def _buf(work, name, shape):
@@ -170,8 +159,9 @@ def _fill_ghosts(P, k, boundary):
         P[n + k :] = P[n + k - 1]
 
 
-def transport_rhs(field, cfg, work):
-    """-v.grad_x f with upwind WENO interface fluxes, all spatial axes.
+def transport_rhs(field, k, work):
+    """-v.grad_x f with upwind WENO interface fluxes of order index k (a key
+    of IDEAL_WEIGHTS), all spatial axes.
 
     A negative speed v is the speed |v| on the mirrored axis, and the
     right-biased reconstruction is the left-biased one of the mirrored
@@ -188,7 +178,6 @@ def transport_rhs(field, cfg, work):
     if vg.dv < sg.dx_dims:
         raise ConfigurationError("velocity dimension must cover every transported axis")
     f = field.values
-    k = cfg.k
     out = np.zeros_like(f)
     for a in range(sg.dx_dims):
         if sg.counts[a] < 2 * k - 1:

@@ -38,7 +38,7 @@ from kinproj.phase_space import (
 from kinproj.planner import plan_from_factors, plan_levels, speedup
 from kinproj.scenarios_cli import initial_field, resolve_run, run_simulation
 from kinproj.spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum
-from kinproj.transport_weno import WenoConfig, transport_rhs
+from kinproj.transport_weno import transport_rhs
 
 
 def record(num, ok, detail):
@@ -228,7 +228,7 @@ def test_acceptance_08_collision_conservation():
     vx, vy = vg.node_component(0), vg.node_component(1)
     e = vg.speed2.reshape(vg.counts)
     rhs_b = np.stack([boltzmann_q(plan, f[i]) for i in range(2)])
-    rhs_g = bgk_rhs(DistributionField(f, sg, vg), BgkConfig("constant", 1.0, 1.0))
+    rhs_g = bgk_rhs(DistributionField(f, sg, vg), BgkConfig("constant", 1.0))
     worst = 0.0
     for q in (rhs_g, rhs_b):
         for i in range(2):
@@ -248,7 +248,7 @@ def test_acceptance_09_transport_order():
         vg = VelocityGrid(1, 2.0, 2)
         x = sg.centers[0]
         f = np.tile(np.sin(2 * np.pi * x)[:, None], (1, 2))
-        r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=k), {})
+        r = transport_rhs(DistributionField(f, sg, vg), k, {})
         return np.mean(np.abs(r[:, 1] + 2 * np.pi * np.cos(2 * np.pi * x)))
 
     o2 = math.log2(l1_err(256, 2) / l1_err(512, 2))
@@ -282,14 +282,14 @@ def test_acceptance_10_projective_amplification():
 def test_acceptance_11_spectrum_clusters():
     t0 = time.perf_counter()
     eps = 1e-3
-    rep = spectrum(build_linearized_bgk(VelocityGrid(2, 8.0, (16, 16)), 1.0, eps))
+    rep = spectrum(build_linearized_bgk(VelocityGrid(2, 8.0, (16, 16)), eps))
     eig = rep.eigenvalues
     dist = np.minimum(np.abs(eig), np.abs(eig + 1.0 / eps)).max()
     kernel = int(np.count_nonzero(np.abs(eig) <= 1e-3 / eps))
     vg = VelocityGrid(1, 8.0, (16,))
     sg = SpatialGrid(0.0, 1.0, (8,), "periodic")
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (8, 16)).copy()
-    rhs = make_rhs(sg, vg, WenoConfig(k=2), BgkConfig("constant", 1.0, eps))
+    rhs = make_rhs(sg, vg, 2, BgkConfig("constant", eps))
     gap = spectrum(jacobian_probe(rhs, f)).gap_ratio
     elapsed = time.perf_counter() - t0
     ok = dist <= 1e-3 / eps and kernel == 4 and gap >= 10.0 and elapsed <= 120

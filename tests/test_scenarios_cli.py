@@ -17,7 +17,6 @@ from kinproj.scenarios_cli import (
     run_simulation,
     write_snapshot,
 )
-from kinproj.transport_weno import WenoConfig
 
 
 def test_catalogue_contents():
@@ -241,6 +240,28 @@ def test_exit_codes(tmp_path):
     assert (tmp_path / "rej" / "snapshot_000.csv").exists()
 
 
+@pytest.mark.parametrize("extra", [
+    ["--t-end", "nan"],
+    ["--t-end", "inf"],
+    ["--cfl", "inf"],
+    ["--M", "inf"],
+    ["--integrator", "fe", "--h0", "nan"],
+    ["--integrator", "fe", "--epsilon", "inf"],
+])
+def test_non_finite_inputs_exit_2(extra, capsys):
+    assert main(["plan", "--scenario", "sod_1d1d"] + extra) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_infeasible_ladder_names_its_cause(capsys):
+    # cfl * dx = 0.004 is below the inner step epsilon = 0.1; no --levels given
+    assert main(["plan", "--scenario", "sod_1d1d", "--integrator", "tprk4",
+                 "--epsilon", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert "target step 0.004 is below the inner step 0.1" in err
+    assert "levels" not in err
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -322,7 +343,7 @@ def test_periodic_mass_conservation():
     vg = VelocityGrid(2, 8.0, (30, 30))
     rho, u, T = scen.initial(*np.meshgrid(*sg.centers, indexing="ij"))
     f = maxwellian(vg, rho, u, T)
-    rhs = make_rhs(sg, vg, WenoConfig(k=2), BgkConfig("constant", 1.0, scen.epsilon))
+    rhs = make_rhs(sg, vg, 2, BgkConfig("constant", scen.epsilon))
     mass0 = f.sum()
     for _ in range(100):
         f = rk_step(rhs, f, scen.epsilon, FORWARD_EULER)

@@ -4,9 +4,8 @@ import pytest
 from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError, DiagnosticError
 from kinproj.integrators import make_rhs
-from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian
+from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
 from kinproj.spectrum_probe import (
-    LinearizedOperator,
     build_linearized_bgk,
     collision_invariant_basis,
     gram_deviation,
@@ -14,15 +13,15 @@ from kinproj.spectrum_probe import (
     spectrum,
     write_spectrum_csv,
 )
-from kinproj.transport_weno import WenoConfig
+from kinproj.transport_weno import transport_rhs
 
 
-def check_linearity(op, rtol=1e-8, seed=0, trials=3):
+def check_linearity(op, dimension, rtol=1e-8, seed=0, trials=3):
     """Superposition test on random vectors; raises DiagnosticError on failure."""
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        u = rng.standard_normal(op.dimension)
-        w = rng.standard_normal(op.dimension)
+        u = rng.standard_normal(dimension)
+        w = rng.standard_normal(dimension)
         a, b = rng.uniform(-2.0, 2.0, size=2)
         lhs = op(a * u + b * w)
         au, bw = a * op(u), b * op(w)
@@ -44,53 +43,51 @@ def test_basis_orthonormality():
 def test_coarse_grid_rejected():
     # J=8 in 1D already has Gram deviation 0.43
     with pytest.raises(DiagnosticError):
-        build_linearized_bgk(VelocityGrid(1, 8.0, (8,)), 1.0, 1e-3)
+        build_linearized_bgk(VelocityGrid(1, 8.0, (8,)), 1e-3)
     with pytest.raises(DiagnosticError):
-        build_linearized_bgk(VelocityGrid(2, 8.0, (4, 4)), 1.0, 1e-3)
+        build_linearized_bgk(VelocityGrid(2, 8.0, (4, 4)), 1e-3)
 
 
 def test_build_validation():
     vg = VelocityGrid(1, 8.0, (16,))
     with pytest.raises(ConfigurationError):
-        build_linearized_bgk(vg, -1.0, 1e-3)
+        build_linearized_bgk(vg, 0.0)
     with pytest.raises(ConfigurationError):
-        build_linearized_bgk(vg, 1.0, 0.0)
-    with pytest.raises(ConfigurationError):
-        build_linearized_bgk(VelocityGrid(1, 8.0, (5000,)), 1.0, 1e-3)
+        build_linearized_bgk(VelocityGrid(1, 8.0, (5000,)), 1e-3)
 
 
 def test_invariants_in_kernel():
     vg = VelocityGrid(2, 8.0, (16, 16))
-    op = build_linearized_bgk(vg, 1.0, 1e-3)
+    op = build_linearized_bgk(vg, 1e-3)
     ones = np.ones(vg.n_nodes)
-    # residual tied to the Gram deviation (3.8e-6); measured 5.1e-6 * (nu/eps)
-    assert np.linalg.norm(op(ones)) <= 1e-4 * 1e3 * np.linalg.norm(ones)
+    # residual tied to the Gram deviation (3.8e-6); measured 5.1e-6 * (1/eps)
+    assert np.linalg.norm(op @ ones) <= 1e-4 * 1e3 * np.linalg.norm(ones)
 
 
 def test_orthogonal_cubic_is_eigenvector():
     vg = VelocityGrid(2, 8.0, (16, 16))
-    op = build_linearized_bgk(vg, 1.0, 1e-3)
+    op = build_linearized_bgk(vg, 1e-3)
     psi, w = collision_invariant_basis(vg)
     p = vg.nodes[:, 0] ** 3
     for k in range(psi.shape[0]):
         p = p - psi[k] * np.sum(psi[k] * w * p)
-    # orthogonal complement relaxes at exactly -nu/eps; measured 1.6e-8
-    resid = np.linalg.norm(op(p) + 1e3 * p) / (1e3 * np.linalg.norm(p))
+    # orthogonal complement relaxes at exactly -1/eps; measured 1.6e-8
+    resid = np.linalg.norm(op @ p + 1e3 * p) / (1e3 * np.linalg.norm(p))
     assert resid <= 1e-6
 
 
 def test_projector_idempotence():
     vg = VelocityGrid(2, 8.0, (32, 32))
-    op = build_linearized_bgk(vg, 1.0, 1e-3)
+    op = build_linearized_bgk(vg, 1e-3)
     g = np.random.default_rng(5).standard_normal(vg.n_nodes)
-    once = op(g)
-    twice = op(once) / (-1e3)
+    once = op @ g
+    twice = op @ once / (-1e3)
     assert np.linalg.norm(twice - once) <= 1e-8 * np.linalg.norm(once)
 
 
 def test_collision_spectrum_two_point():
     vg = VelocityGrid(2, 8.0, (16, 16))
-    rep = spectrum(build_linearized_bgk(vg, 1.0, 1e-3))
+    rep = spectrum(build_linearized_bgk(vg, 1e-3))
     lam = rep.eigenvalues
     dist = np.minimum(np.abs(lam), np.abs(lam + 1e3))
     assert dist.max() <= 1e-3 * 1e3  # measured 3.8e-3
@@ -103,18 +100,10 @@ def test_collision_spectrum_two_point():
 
 def test_operator_linearity():
     vg = VelocityGrid(1, 8.0, (16,))
-    check_linearity(build_linearized_bgk(vg, 1.0, 1e-3))
-    square = LinearizedOperator(lambda v: v**2, 4)
+    op = build_linearized_bgk(vg, 1e-3)
+    check_linearity(lambda v: op @ v, vg.n_nodes)
     with pytest.raises(DiagnosticError):
-        check_linearity(square)
-
-
-def test_operator_shape_checks():
-    op = LinearizedOperator(lambda v: v, 4)
-    with pytest.raises(ConfigurationError):
-        op(np.zeros(5))
-    with pytest.raises(ConfigurationError):
-        LinearizedOperator(lambda v: v, 0)
+        check_linearity(lambda v: v**2, 4)
 
 
 def test_probe_exact_on_linear_rhs():
@@ -123,8 +112,8 @@ def test_probe_exact_on_linear_rhs():
     f0 = np.random.default_rng(1).standard_normal(8)
     probe = jacobian_probe(lambda x: A @ x, f0, eta=1e-3)
     for u in rng.standard_normal((10, 8)):
-        assert np.linalg.norm(probe(u) - A @ u) <= 1e-9 * np.linalg.norm(A @ u)
-    check_linearity(probe)
+        assert np.linalg.norm(probe @ u - A @ u) <= 1e-9 * np.linalg.norm(A @ u)
+    check_linearity(lambda v: probe @ v, 8)
 
 
 def test_probe_validation():
@@ -132,9 +121,8 @@ def test_probe_validation():
         jacobian_probe(lambda x: x, np.array([1.0, np.nan]))
     with pytest.raises(ConfigurationError):
         jacobian_probe(lambda x: x, np.ones(3), eta=-1.0)
-    bad = jacobian_probe(lambda x: np.full_like(x, np.nan), np.ones(3))
     with pytest.raises(DiagnosticError):
-        bad(np.ones(3))
+        jacobian_probe(lambda x: np.full_like(x, np.nan), np.ones(3))
 
 
 def test_probe_matches_built_linearization():
@@ -143,22 +131,22 @@ def test_probe_matches_built_linearization():
     vg = VelocityGrid(2, 8.0, (16, 16))
     sg = SpatialGrid(0.0, 1.0, (1,), "periodic")
     f0 = maxwellian(vg, np.ones(1), np.zeros((1, 2)), np.ones(1))
-    rhs = make_rhs(sg, vg, collision=BgkConfig("constant", 1.0, 1e-3))
+    rhs = make_rhs(sg, vg, None, BgkConfig("constant", 1e-3))
     probe = jacobian_probe(rhs, f0)
-    op = build_linearized_bgk(vg, 1.0, 1e-3)
+    op = build_linearized_bgk(vg, 1e-3)
     D = f0.ravel()
     rng = np.random.default_rng(3)
     for _ in range(5):
         u = rng.standard_normal(vg.n_nodes)
-        want = D * op(u / D)
-        assert np.linalg.norm(probe(u) - want) <= 1e-4 * np.linalg.norm(want)
+        want = D * (op @ (u / D))
+        assert np.linalg.norm(probe @ u - want) <= 1e-4 * np.linalg.norm(want)
 
 
 def test_transport_probe_near_imaginary_axis():
     vg = VelocityGrid(1, 8.0, (8,))
     sg = SpatialGrid(0.0, 1.0, (16,), "periodic")
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (16, 8)).copy()
-    rhs = make_rhs(sg, vg, weno_cfg=WenoConfig(k=2))
+    rhs = lambda v: transport_rhs(DistributionField(v, sg, vg), 2, {})
     lam = spectrum(jacobian_probe(rhs, f)).eigenvalues
     assert lam.real.max() <= 1e-8  # measured 1.8e-14
     assert lam.real.min() <= -1.0  # upwind dissipation
@@ -171,8 +159,7 @@ def test_two_cluster_gap_with_transport():
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (8, 16)).copy()
 
     def ratio(eps):
-        rhs = make_rhs(sg, vg, weno_cfg=WenoConfig(k=2),
-                       collision=BgkConfig("constant", 1.0, eps))
+        rhs = make_rhs(sg, vg, 2, BgkConfig("constant", eps))
         return spectrum(jacobian_probe(rhs, f)).gap_ratio
 
     assert ratio(1e-3) >= 10.0  # measured 42.2, split at 3 fields x 8 cells
@@ -183,7 +170,7 @@ def test_proportional_frequency_spreads_fast_cluster():
     vg = VelocityGrid(1, 8.0, (16,))
     sg = SpatialGrid(0.0, 1.0, (2,), "periodic")
     f = maxwellian(vg, np.array([0.125, 1.0]), np.zeros((2, 1)), np.ones(2))
-    rhs = make_rhs(sg, vg, collision=BgkConfig("proportional", 1.0, 1e-3))
+    rhs = make_rhs(sg, vg, None, BgkConfig("proportional", 1e-3))
     rep = spectrum(jacobian_probe(rhs, f))
     assert rep.split == 6  # three invariants per cell stay slow
     fast = np.abs(rep.fast)
@@ -192,21 +179,24 @@ def test_proportional_frequency_spreads_fast_cluster():
 
 
 def test_spectrum_zero_operator():
-    rep = spectrum(LinearizedOperator(lambda v: np.zeros_like(v), 6))
+    rep = spectrum(np.zeros((6, 6)))
     assert rep.split == 6
     assert rep.fast.size == 0
     assert rep.gap_ratio == 1.0
 
 
 def test_spectrum_dimension_cap():
-    op = LinearizedOperator(lambda v: v, 5000)
+    # the cap is checked before the probe's first RHS call
+    def rhs(v):
+        raise AssertionError("called")
+
     with pytest.raises(ConfigurationError):
-        spectrum(op)
+        jacobian_probe(rhs, np.ones(5000))
 
 
 def test_spectrum_csv_roundtrip(tmp_path):
     diag = np.array([-1.0, -2.5, 3.0])
-    rep = spectrum(LinearizedOperator(lambda v: diag * v, 3))
+    rep = spectrum(np.diag(diag))
     path = tmp_path / "spec.csv"
     write_spectrum_csv(path, rep)
     text = path.read_text(encoding="utf-8")

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError
+from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
 from kinproj.transport_weno import (
     _K1312,
     DELTA,
     IDEAL_WEIGHTS,
-    WenoConfig,
     _betas,
     _reconstruct_left,
     transport_rhs,
@@ -111,28 +112,27 @@ def assert_bitwise(a, b):
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
 def test_transport_matches_reference_bitwise(grid, k):
     fld = reference_field(grid, 11)
-    assert_bitwise(transport_rhs(fld, WenoConfig(k=k), {}), ref_transport(fld, k))
+    assert_bitwise(transport_rhs(fld, k, {}), ref_transport(fld, k))
 
 
 def test_reference_grid_has_ragged_blocks():
     # work buffers are keyed by (name, shape): on the last reference grid each
     # axis pads full blocks and a shorter last one
     work = {}
-    transport_rhs(reference_field(REFERENCE_GRIDS[-1], 0), WenoConfig(k=2), work)
+    transport_rhs(reference_field(REFERENCE_GRIDS[-1], 0), 2, work)
     padded = sorted(shape for name, shape in work if name == "P")
     assert [shape[:2] for shape in padded] == [(26, 4), (26, 5), (28, 2), (28, 5)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_reused_work_matches_fresh(k):
-    cfg = WenoConfig(k=k)
     for grid in REFERENCE_GRIDS:
         work = {}
-        first = transport_rhs(reference_field(grid, 1), cfg, work)
+        first = transport_rhs(reference_field(grid, 1), k, work)
         kept = first.copy()
         g = reference_field(grid, 2)
-        second = transport_rhs(g, cfg, work)
-        assert_bitwise(second, transport_rhs(g, cfg, {}))
+        second = transport_rhs(g, k, work)
+        assert_bitwise(second, transport_rhs(g, k, {}))
         assert second is not first
         assert_bitwise(first, kept)
 
@@ -251,7 +251,7 @@ def test_transport_constant_field_is_zero():
     sg = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), ("periodic", "outflow"))
     vg = VelocityGrid(2, 4.0, 6)
     f = np.full(sg.counts + vg.counts, 0.7)
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2), {})
+    r = transport_rhs(DistributionField(f, sg, vg), 2, {})
     assert np.all(r == 0.0)
 
 
@@ -260,7 +260,7 @@ def test_transport_observed_order(k, pair, floor):
     errs = []
     for N in pair:
         fld, x = sine_field(N, k)
-        r = transport_rhs(fld, WenoConfig(k=k), {})
+        r = transport_rhs(fld, k, {})
         exact = -2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.mean(np.abs(r[:, 1] - exact)))
     assert np.log2(errs[0] / errs[1]) >= floor
@@ -269,7 +269,7 @@ def test_transport_observed_order(k, pair, floor):
 def test_transport_upwind_mirror_symmetry():
     # v = -1 node advects the mirrored way: rhs = +2 pi cos for sin data
     fld, x = sine_field(128, 2)
-    r = transport_rhs(fld, WenoConfig(k=2), {})
+    r = transport_rhs(fld, 2, {})
     exact = 2 * np.pi * np.cos(2 * np.pi * x)
     assert np.mean(np.abs(r[:, 0] - exact)) <= 5e-3
 
@@ -281,7 +281,7 @@ def test_transport_conserves_mass_periodic():
     rng = np.random.default_rng(2)
     prof = 1.0 + 0.5 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)
     f = prof[:, None] * rng.uniform(0.5, 1.0, vg.counts)[None, :]
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=3), {})
+    r = transport_rhs(DistributionField(f, sg, vg), 3, {})
     for j in range(vg.counts[0]):
         scale = np.sum(np.abs(r[:, j])) + 1e-300
         assert abs(np.sum(r[:, j])) / scale <= 1e-12
@@ -296,16 +296,15 @@ def test_upwind_stencil_dependence():
     rng = np.random.default_rng(9)
     f = rng.uniform(0.5, 1.5, sg.counts + vg.counts)
     k = 2
-    cfg = WenoConfig(k=k)
-    base = transport_rhs(DistributionField(f, sg, vg), cfg, {})
+    base = transport_rhs(DistributionField(f, sg, vg), k, {})
     i = 12
     g = f.copy()
     g[i + k + 1 :, 1] += 10.0  # strictly right of the positive-speed stencil at i
-    pos = transport_rhs(DistributionField(g, sg, vg), cfg, {})
+    pos = transport_rhs(DistributionField(g, sg, vg), k, {})
     assert pos[i, 1] == base[i, 1]
     g2 = f.copy()
     g2[: i - k, 0] += 10.0  # strictly left of the negative-speed stencil at i
-    neg = transport_rhs(DistributionField(g2, sg, vg), cfg, {})
+    neg = transport_rhs(DistributionField(g2, sg, vg), k, {})
     assert neg[i, 0] == base[i, 0]
 
 
@@ -314,7 +313,7 @@ def test_outflow_boundary_linear_profile():
     vg = VelocityGrid(1, 2.0, 2)
     x = sg.centers[0]
     f = np.tile((2.0 + 3.0 * x)[:, None], (1, 2))
-    r = transport_rhs(DistributionField(f, sg, vg), WenoConfig(k=2), {})
+    r = transport_rhs(DistributionField(f, sg, vg), 2, {})
     # interior cells see exact linear reconstruction: rhs = -v * slope
     interior = slice(3, -3)
     np.testing.assert_allclose(r[interior, 1], -3.0, rtol=1e-12)
@@ -332,21 +331,22 @@ def test_transport_axis_pairing_2d():
     rng = np.random.default_rng(4)
     vmod = rng.uniform(0.5, 1.0, vg.counts)
     f2 = base[:, None, None, None] * np.ones(6)[None, :, None, None] * vmod
-    r2 = transport_rhs(DistributionField(f2, sg, vg), WenoConfig(k=2), {})
+    r2 = transport_rhs(DistributionField(f2, sg, vg), 2, {})
     for iy in range(1, 6):
         np.testing.assert_array_equal(r2[:, iy], r2[:, 0])
     # against an explicitly assembled 1D/2V equivalent
     sg1 = SpatialGrid((0.0,), (1.0,), 32, "periodic")
     f1 = base[:, None, None] * vmod
-    r1 = transport_rhs(DistributionField(f1, sg1, vg), WenoConfig(k=2), {})
+    r1 = transport_rhs(DistributionField(f1, sg1, vg), 2, {})
     np.testing.assert_allclose(r2[:, 0], r1, rtol=1e-13, atol=1e-16)
 
 
 def test_configuration_errors():
     with pytest.raises(ConfigurationError):
-        WenoConfig(k=4)
+        make_rhs(SpatialGrid((0.0,), (1.0,), 8, "periodic"), VelocityGrid(1, 2.0, 2), 4,
+                 BgkConfig("constant", 1.0))
     sg = SpatialGrid((0.0,), (1.0,), 3, "periodic")
     vg = VelocityGrid(1, 2.0, 2)
     f = DistributionField(np.ones((3, 2)), sg, vg)
     with pytest.raises(ConfigurationError):
-        transport_rhs(f, WenoConfig(k=3), {})  # needs 5 cells
+        transport_rhs(f, 3, {})  # needs 5 cells
