@@ -107,38 +107,29 @@ def rk_step(rhs, state, h, tableau):
 
 
 class IntegratorPlan:
-    """Nested step-size layout h[l+1] = (M[l] + K[l] + 1) * h[l].
+    """Nested step-size ladder h[l+1] = (M[l] + K[l] + 1) * h[l] from h[0] = h0.
 
-    h has one entry per level plus the innermost step; K[l] counts the inner
-    steps (minus the seed step) and M[l] the chord extrapolation factor used
-    to jump the rest of a level-(l+1) step. M is real-valued. levels = 0
-    degenerates to plain tableau stepping with h[0].
+    K[l] counts the inner steps (minus the seed step) and M[l] the chord
+    extrapolation factor used to jump the rest of a level-(l+1) step. M is
+    real-valued. levels = len(M); zero levels is plain tableau stepping with h0.
     """
 
-    def __init__(self, h, K, M, outer_tableau=FORWARD_EULER):
-        self.h = tuple(float(x) for x in h)
-        if not self.h:
-            raise ConfigurationError("plan needs at least one step size")
-        self.levels = len(self.h) - 1
-        if any(k != int(k) for k in K):
-            raise ConfigurationError(f"inner-step counts must be integers, got {K}")
+    def __init__(self, h0, K, M, outer_tableau=FORWARD_EULER):
+        if any(k != int(k) or k < 0 for k in K):
+            raise ConfigurationError(f"inner-step counts must be integers >= 0, got {K}")
         self.K = tuple(int(k) for k in K)
         self.M = tuple(float(m) for m in M)
-        if len(self.K) != self.levels or len(self.M) != self.levels:
+        self.levels = len(self.M)
+        if len(self.K) != self.levels:
             raise ConfigurationError("K and M must have one entry per level")
-        if any(not 0 < x < np.inf for x in self.h):
-            raise ConfigurationError(f"step sizes must be positive and finite, got {self.h}")
-        if any(k < 0 for k in self.K):
-            raise ConfigurationError(f"inner-step counts must be >= 0, got {self.K}")
         if any(m < 0 for m in self.M):
             raise ConfigurationError(f"extrapolation factors must be >= 0, got {self.M}")
-        for l in range(self.levels):
-            target = (self.M[l] + self.K[l] + 1.0) * self.h[l]
-            if abs(target - self.h[l + 1]) > 1e-12 * abs(self.h[l + 1]):
-                raise ConfigurationError(
-                    f"layout identity violated at level {l}: "
-                    f"(M+K+1)*h[{l}] = {target!r} but h[{l + 1}] = {self.h[l + 1]!r}"
-                )
+        h = [float(h0)]
+        for k, m in zip(self.K, self.M):
+            h.append((m + k + 1) * h[-1])
+        self.h = tuple(h)
+        if any(not 0 < x < np.inf for x in self.h):
+            raise ConfigurationError(f"step sizes must be positive and finite, got {self.h}")
         self.outer_tableau = outer_tableau
 
 
@@ -161,27 +152,29 @@ def _level_step(rhs, state, plan, level, counts):
     return cur + (plan.M[level - 1] * plan.h[level - 1]) * chord
 
 
-def telescopic_step(rhs, state, plan, counts=None):
-    """One outermost step of size plan.h[-1], applying the plan's tableau.
+def telescopic_step(rhs, state, plan, counts=None, h=None):
+    """One outermost step of size h (default plan.h[-1]), applying the plan's tableau.
 
     Each stage runs a damped sweep of K+1 steps one level down and takes its
     chord as the stage slope; `_rk` combines them with lead = (K+1)*h_in, so
     the extrapolation covers the rest of the outer step (projective
-    Runge-Kutta, Lafitte, Lejon and Samaey 2016).
+    Runge-Kutta, Lafitte, Lejon and Samaey 2016). A shorter h, at least the
+    sweep, lands a leftover; M[-1] is never read.
 
     counts, if given, is a list indexed by level (innermost first) that gains
     one for every step started at that level, so a rejected step is counted.
     """
     L = plan.levels
     tb = plan.outer_tableau
+    h = plan.h[-1] if h is None else h
     if counts is None:
         counts = [0] * (L + 1)
     counts[L] += 1
     if L == 0:
-        return rk_step(rhs, state, plan.h[0], tb)
+        return rk_step(rhs, state, h, tb)
     lead = (plan.K[L - 1] + 1) * plan.h[L - 1]
     return _rk(lambda y: _damped_sweep(rhs, y, plan, L - 1, counts),
-               state, plan.h[L], lead, tb)
+               state, h, lead, tb)
 
 
 def rhs_total(field, weno_k, collision, work):
@@ -204,13 +197,20 @@ def rhs_total(field, weno_k, collision, work):
 
 
 def make_rhs(sgrid, vgrid, weno_k, collision):
-    """Bind grids and operators into an array -> array RHS (see rhs_total).
+    """Bind grids and operators into an array -> array RHS (see rhs_total),
+    checking once that the transport stencil fits the grids.
 
     The closure owns the transport work buffers and reuses them on every
     call, so use one closure per thread; each call returns a new array.
     """
-    if weno_k is not None and weno_k not in IDEAL_WEIGHTS:
-        raise ConfigurationError(f"unsupported reconstruction order k={weno_k}")
+    if weno_k is not None:
+        if weno_k not in IDEAL_WEIGHTS:
+            raise ConfigurationError(f"unsupported reconstruction order k={weno_k}")
+        if vgrid.dv < sgrid.dx_dims:
+            raise ConfigurationError("velocity dimension must cover every transported axis")
+        for a, n in enumerate(sgrid.counts):
+            if n < 2 * weno_k - 1:
+                raise ConfigurationError(f"axis {a}: {n} cells < stencil width {2 * weno_k - 1}")
     work = {}
 
     def rhs(values):

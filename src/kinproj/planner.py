@@ -3,14 +3,13 @@
 The inner step follows the fastest collisional decay rate (epsilon over the
 peak collision frequency), the outer step follows the transport CFL limit,
 and the extrapolation factors fill the gap, spread geometrically over one or
-more nesting levels with the coarsest level absorbing the residual. Every
-plan is built by `plan_from_factors` from its inner step, K and factors.
+more nesting levels with the coarsest level absorbing the residual.
+`integrators.IntegratorPlan(h0, K, M, tableau)` builds the ladder itself.
 """
 
 import math
 
 from .errors import ConfigurationError, InfeasiblePlanError
-from .integrators import FORWARD_EULER, IntegratorPlan
 
 
 def plan_levels(h0, h_target, factor):
@@ -62,14 +61,6 @@ def adapt_M(h0, h_target, K, levels):
         m_last = 0.0
     ms.append(m_last)
     return tuple(ms)
-
-
-def plan_from_factors(h0, K, M, outer_tableau=FORWARD_EULER):
-    """Validated plan with h[l+1] = (M[l] + K + 1) * h[l]; M = () is plain stepping."""
-    h = [h0]
-    for m in M:
-        h.append((m + K + 1) * h[-1])
-    return IntegratorPlan(h, (K,) * len(M), M, outer_tableau)
 
 
 def speedup(plan):

@@ -36,7 +36,7 @@ from .phase_space import (
     maxwellian,
     moments,
 )
-from .planner import adapt_M, plan_from_factors, plan_levels, speedup
+from .planner import adapt_M, plan_levels, speedup
 from .spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum, write_spectrum_csv
 
 INTEGRATORS = ("fe", "rk4", "pfe", "prk4", "tpfe", "tprk4")
@@ -67,7 +67,6 @@ class Scenario:
     epsilon: float
     t_end: float
     integrator: str
-    levels: int
     K: int
     cfl: float
     weno_k: int
@@ -121,7 +120,7 @@ def catalogue():
             dv=1, half_width=8.0, vcounts=(80,),
             initial=lambda x: _sod_states(x, 1),
             collision="bgk", epsilon=1e-5, t_end=0.15,
-            integrator="prk4", levels=1, K=2, cfl=0.4, weno_k=3,
+            integrator="prk4", K=2, cfl=0.4, weno_k=3,
             desk_counts=(100,), desk_vcounts=(80,),
         ),
         Scenario(
@@ -130,7 +129,7 @@ def catalogue():
             dv=2, half_width=8.0, vcounts=(32, 32),
             initial=lambda x: _sod_states(x, 2),
             collision="bgk", epsilon=1e-5, t_end=0.15,
-            integrator="prk4", levels=1, K=2, cfl=0.4, weno_k=2,
+            integrator="prk4", K=2, cfl=0.4, weno_k=2,
             desk_counts=(100,), desk_vcounts=(16, 16),
         ),
         Scenario(
@@ -140,7 +139,7 @@ def catalogue():
             dv=2, half_width=10.0, vcounts=(30, 30),
             initial=_shock_bubble_states,
             collision="bgk", epsilon=1e-5, t_end=0.8,
-            integrator="prk4", levels=1, K=2, cfl=0.4, weno_k=2,
+            integrator="prk4", K=2, cfl=0.4, weno_k=2,
             desk_counts=(100, 13), desk_vcounts=(16, 16),
         ),
         Scenario(
@@ -150,7 +149,7 @@ def catalogue():
             dv=2, half_width=8.0, vcounts=(30, 30),
             initial=_shear_layer_states,
             collision="bgk", epsilon=5e-5, t_end=1.6,
-            integrator="prk4", levels=1, K=3, cfl=0.45, weno_k=2,
+            integrator="prk4", K=3, cfl=0.45, weno_k=2,
             desk_counts=(50, 50), desk_vcounts=(16, 16),
         ),
         Scenario(
@@ -160,7 +159,7 @@ def catalogue():
             dv=2, half_width=8.0, vcounts=(32, 32),
             initial=_double_sod_states,
             collision="boltzmann", epsilon=5e-5, t_end=0.16,
-            integrator="tprk4", levels=2, K=3, cfl=0.3, weno_k=2,
+            integrator="tprk4", K=3, cfl=0.3, weno_k=2,
             desk_counts=(32, 32), desk_vcounts=(16, 16),
             M=(6.66, 4.80),
         ),
@@ -246,14 +245,14 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
         raise ConfigurationError(f"inner step must be positive and finite, got {h0_}")
     C = scen.cfl if cfl is None else cfl
     tableau = CLASSIC_RK4 if integ.endswith("rk4") else FORWARD_EULER
+    own_ladder = scen.M is not None and integ == scen.integrator
     if integ in ("fe", "rk4"):
         # resolved explicit step: the inner scale, or exactly cfl * dx
         h0_ = min(0.1 * dx_min, h0_) if cfl is None else cfl * dx_min
         factors = ()
     elif M is not None:
         factors = tuple(float(m) for m in M)
-    elif (scen.M is not None and integ == scen.integrator and levels is None
-          and K is None and h0 is None and cfl is None):
+    elif own_ladder and levels is None and K is None and h0 is None and cfl is None:
         factors = scen.M
     else:
         if integ in ("pfe", "prk4"):
@@ -262,13 +261,13 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
             L = 1
         elif levels is not None:
             L = int(levels)
-        elif integ == scen.integrator:
-            L = scen.levels
+        elif own_ladder:
+            L = len(scen.M)
         else:
             # at least one level, so that adapt_M names an infeasible target
             L = max(1, plan_levels(h0_, C * dx_min, _LEVEL_FACTOR))
         factors = adapt_M(h0_, C * dx_min, K_, L)
-    plan = plan_from_factors(h0_, K_, factors, tableau)
+    plan = IntegratorPlan(h0_, (K_,) * len(factors), factors, tableau)
 
     weno_k = scen.weno_k if weno_k is None else weno_k
     rhs = make_rhs(sgrid, vgrid, weno_k, coll)
@@ -291,10 +290,10 @@ def _advance(rhs, f, duration, plan, counts):
     """Advance f by duration on the plan's ladder, landing exactly on its end.
 
     Whole top-level steps come first. A leftover at least as long as the top
-    damping sweep takes one top step with its extrapolation factor truncated,
-    which keeps every lower level as planned. A shorter leftover is advanced
-    on the ladder one level down, with plain chords as inside a step, and at
-    level 0 by one step of the plan's tableau.
+    damping sweep takes one top step of that length, which keeps every lower
+    level as planned. A shorter leftover is advanced on the ladder one level
+    down, with plain chords as inside a step, and at level 0 by one step of
+    the plan's tableau.
     """
     dt = plan.h[-1]
     n = int(math.floor(duration / dt * (1.0 + 1e-12)))
@@ -303,17 +302,12 @@ def _advance(rhs, f, duration, plan, counts):
     rem = duration - n * dt
     if rem <= _REMAINDER_TOL * dt:
         return f
-    top = plan.levels
-    if top == 0:
+    if plan.levels == 0:
         counts[0] += 1
         return rk_step(rhs, f, rem, plan.outer_tableau)
-    h_in = plan.h[top - 1]
-    sweep = plan.K[-1] + 1
-    if rem >= sweep * h_in * (1.0 + 1e-12):
-        truncated = IntegratorPlan(plan.h[:top] + (rem,), plan.K,
-                                   plan.M[:-1] + (rem / h_in - sweep,), plan.outer_tableau)
-        return telescopic_step(rhs, f, truncated, counts)
-    return _advance(rhs, f, rem, IntegratorPlan(plan.h[:top], plan.K[:-1], plan.M[:-1]), counts)
+    if rem >= (plan.K[-1] + 1) * plan.h[-2] * (1.0 + 1e-12):
+        return telescopic_step(rhs, f, plan, counts, rem)
+    return _advance(rhs, f, rem, IntegratorPlan(plan.h[0], plan.K[:-1], plan.M[:-1]), counts)
 
 
 def _tableau_name(plan):
@@ -420,16 +414,28 @@ def _floats(text):
     return tuple(float(part) for part in text.split(","))
 
 
-_CONFIG_KEYS = {
-    "scenario": str, "preset": str, "integrator": str, "collision": str,
-    "epsilon": float, "k": int, "levels": int, "K": int, "h0": float,
-    "cfl": float, "M": _floats, "t_end": float, "snapshots": int,
-    "nx": _ints, "nv": _ints, "half_width": float, "n_theta": int, "out": str,
+# every run option once: config-file key -> argparse keywords; the flag is
+# --key with dashes, dest is the key unless given, unset means resolve_run's default
+_RUN_OPTIONS = {
+    "scenario": {},
+    "preset": {"choices": PRESETS},
+    "integrator": {"choices": INTEGRATORS},
+    "collision": {"choices": COLLISIONS},
+    "epsilon": {"type": float},
+    "k": {"type": int, "dest": "weno_k", "help": "WENO order index"},
+    "levels": {"type": int},
+    "K": {"type": int, "help": "inner relaxation steps per level"},
+    "h0": {"type": float, "help": "innermost step (default epsilon)"},
+    "cfl": {"type": float, "help": "outer step = cfl * min dx"},
+    "M": {"type": _floats, "help": "explicit extrapolation factors"},
+    "t_end": {"type": float},
+    "snapshots": {"type": int},
+    "nx": {"type": _ints, "help": "spatial cells per axis"},
+    "nv": {"type": _ints, "help": "velocity nodes per axis"},
+    "half_width": {"type": float},
+    "n_theta": {"type": int},
+    "out": {"help": "output directory"},
 }
-
-_RESOLVE_KEYS = ("integrator", "collision", "epsilon", "weno_k", "levels",
-                 "K", "h0", "cfl", "M", "t_end", "snapshots", "nx", "nv",
-                 "half_width", "n_theta")
 
 
 def load_config(path):
@@ -444,54 +450,35 @@ def load_config(path):
             key, val = key.strip(), val.strip()
             if not sep or not key:
                 raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-            if key not in _CONFIG_KEYS:
+            if key not in _RUN_OPTIONS:
                 raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+            opt = _RUN_OPTIONS[key]
             try:
-                parsed = _CONFIG_KEYS[key](val)
+                values[opt.get("dest", key)] = opt.get("type", str)(val)
             except ValueError as exc:
                 raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
-            values["weno_k" if key == "k" else key] = parsed
     return values
 
 
-def _add_run_options(p):
-    p.add_argument("--scenario")
-    p.add_argument("--preset", choices=PRESETS)
-    p.add_argument("--integrator", choices=INTEGRATORS)
-    p.add_argument("--collision", choices=COLLISIONS)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--k", type=int, dest="weno_k", help="WENO order index")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--K", type=int, help="inner relaxation steps per level")
-    p.add_argument("--h0", type=float, help="innermost step (default epsilon)")
-    p.add_argument("--cfl", type=float, help="outer step = cfl * min dx")
-    p.add_argument("--M", type=_floats, help="explicit extrapolation factors")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--snapshots", type=int)
-    p.add_argument("--nx", type=_ints, help="spatial cells per axis")
-    p.add_argument("--nv", type=_ints, help="velocity nodes per axis")
-    p.add_argument("--half-width", type=float, dest="half_width")
-    p.add_argument("--n-theta", type=int, dest="n_theta")
+def _add_run_options(p, out=True):
+    for key, opt in _RUN_OPTIONS.items():
+        if key != "out" or out:
+            p.add_argument("--" + key.replace("_", "-"), **opt)
     p.add_argument("--config", help="key=value defaults file")
 
 
-def _merged_options(args):
-    file_vals = load_config(args.config) if args.config else {}
-    merged = {}
-    for key in _RESOLVE_KEYS + ("scenario", "preset", "out"):
-        cli = getattr(args, key, None)
-        merged[key] = cli if cli is not None else file_vals.get(key)
-    return merged
-
-
 def _resolved_from_args(args):
-    opts = _merged_options(args)
-    scenario = opts.pop("scenario")
-    out = opts.pop("out")
+    """resolve_run on the command line over the config file over its defaults."""
+    opts = load_config(args.config) if args.config else {}
+    for key, opt in _RUN_OPTIONS.items():
+        dest = opt.get("dest", key)
+        if getattr(args, dest, None) is not None:
+            opts[dest] = getattr(args, dest)
+    scenario = opts.pop("scenario", None)
+    out = opts.pop("out", None)
     if not scenario:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
-    preset = opts.pop("preset") or "paper"
-    return resolve_run(scenario, preset, **opts), out
+    return resolve_run(scenario, **opts), out
 
 
 def _cmd_run(args):
@@ -565,11 +552,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="integrate a scenario and write snapshots")
     _add_run_options(p_run)
-    p_run.add_argument("--out", help="output directory")
     p_run.set_defaults(func=_cmd_run)
     p_plan = sub.add_parser("plan", help="print the resolved plan without running")
-    _add_run_options(p_plan)
-    p_plan.set_defaults(func=_cmd_plan, out=None)
+    _add_run_options(p_plan, out=False)
+    p_plan.set_defaults(func=_cmd_plan)
     p_spec = sub.add_parser("spectrum", help="dump linearized-operator eigenvalues")
     p_spec.add_argument("--nu", choices=("1", "rho"), default="1")
     p_spec.add_argument("--epsilon", type=float, default=1e-3)

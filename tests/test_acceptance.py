@@ -23,6 +23,7 @@ from kinproj.collision_boltzmann import DEFAULT_B0, SpectralPlan, boltzmann_q
 from kinproj.integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
+    IntegratorPlan,
     make_rhs,
     rk_step,
     telescopic_step,
@@ -35,7 +36,7 @@ from kinproj.phase_space import (
     maxwellian,
     moments,
 )
-from kinproj.planner import plan_from_factors, plan_levels, speedup
+from kinproj.planner import plan_levels, speedup
 from kinproj.scenarios_cli import initial_field, resolve_run, run_simulation
 from kinproj.spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum
 from kinproj.transport_weno import transport_rhs
@@ -81,7 +82,7 @@ def test_acceptance_01_speedup_figures():
         (3, (86.0,), 22.5),
         (3, (6.66, 4.80), 5.9),
     ]
-    devs = [abs(speedup(plan_from_factors(1e-5, k, ms, CLASSIC_RK4)) - fig)
+    devs = [abs(speedup(IntegratorPlan(1e-5, (k,) * len(ms), ms, CLASSIC_RK4)) - fig)
             for k, ms, fig in cases]
     ok = max(devs) <= 0.1
     record(1, ok, f"five ladder speedups within 0.1 (worst dev {max(devs):.3f})")
@@ -89,7 +90,7 @@ def test_acceptance_01_speedup_figures():
 
 
 def test_acceptance_02_plan_consistency():
-    plan = plan_from_factors(1e-5, 6, (14.24, 11.83), CLASSIC_RK4)
+    plan = IntegratorPlan(1e-5, (6, 6), (14.24, 11.83), CLASSIC_RK4)
     dev = abs(plan.h[2] - 0.4 * 0.01) / (0.4 * 0.01)
     levels = plan_levels(1e-5, 4e-3, 20.0)
     ok = dev <= 1e-3 and levels == 2
@@ -98,6 +99,7 @@ def test_acceptance_02_plan_consistency():
     assert levels == 2
 
 
+@pytest.mark.slow
 def test_acceptance_03_sod_method_equivalence(tmp_path):
     t0 = time.perf_counter()
     run_simulation(resolve_run("sod_1d1d", integrator="tprk4", collision="bgk-rho",
@@ -269,7 +271,7 @@ def test_acceptance_10_projective_amplification():
         m = rng.uniform(0.0, 50.0)
         z = -1.0 + rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         lam = z / dt_in
-        plan = plan_from_factors(dt_in, k, (m,), FORWARD_EULER)
+        plan = IntegratorPlan(dt_in, (k,), (m,), FORWARD_EULER)
         got = telescopic_step(lambda u: lam * u, 1.0 + 0.0j, plan)
         oracle = (1 + z) ** k * (1 + z + m * z)
         worst = max(worst, abs(got - oracle) / max(1.0, abs(oracle)))
@@ -302,6 +304,7 @@ def test_acceptance_11_spectrum_clusters():
     assert gap >= 10.0
 
 
+@pytest.mark.slow
 def test_acceptance_12_desk_scale_structure(tmp_path):
     t0 = time.perf_counter()
     status = {}

@@ -25,7 +25,7 @@ MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
 
 def one_level(dt_inner, K, dt_outer, tableau=FORWARD_EULER):
     """Projective plan: K+1 inner steps of dt_inner, chord across dt_outer."""
-    return IntegratorPlan((dt_inner, dt_outer), (K,), (dt_outer / dt_inner - (K + 1),), tableau)
+    return IntegratorPlan(dt_inner, (K,), (dt_outer / dt_inner - (K + 1),), tableau)
 
 
 def test_tableau_validation():
@@ -132,21 +132,22 @@ def test_rk_step_matches_reference_loop():
 
 
 def test_plan_validation():
-    plan = IntegratorPlan((1e-5, 4e-3), (2,), (397.0,), CLASSIC_RK4)
+    plan = IntegratorPlan(1e-5, (2,), (397.0,), CLASSIC_RK4)
     assert plan.levels == 1
     assert plan.h == (1e-5, 4e-3)
+    assert IntegratorPlan(0.05, (), ()).h == (0.05,)
     with pytest.raises(ConfigurationError):
-        IntegratorPlan((1e-5, 4e-3), (2,), (396.0,))  # layout identity broken
+        IntegratorPlan(1e-5, (2,), (-1.0,))
     with pytest.raises(ConfigurationError):
-        IntegratorPlan((1e-5, 4e-3), (2,), (-1.0,))
+        IntegratorPlan(1e-5, (2.5,), (396.5,))  # non-integer K
     with pytest.raises(ConfigurationError):
-        IntegratorPlan((1e-5, 4e-3), (2.5,), (396.5,))  # non-integer K
+        IntegratorPlan(-1e-5, (2,), (397.0,))
     with pytest.raises(ConfigurationError):
-        IntegratorPlan((1e-5, -4e-3), (2,), (397.0,))
-    with pytest.raises(ConfigurationError):
-        IntegratorPlan((1e-5, 4e-3), (2, 2), (397.0,))
-    with pytest.raises(ConfigurationError):
-        IntegratorPlan((), (), ())
+        IntegratorPlan(1e-5, (2, 2), (397.0,))
+    with pytest.raises(ConfigurationError, match="finite"):
+        IntegratorPlan(1e-5, (2,), (math.inf,))
+    with pytest.raises(ConfigurationError, match="finite"):
+        IntegratorPlan(math.nan, (), ())
 
 
 def test_projective_feasibility():
@@ -191,7 +192,7 @@ def test_telescopic_zero_factors_is_forward_euler():
     state = rng.uniform(0.5, 1.5, size=(4, 6))
     rhs = lambda u: -u + 0.3 * u * u
     h = 1e-3
-    plan = IntegratorPlan((h, h, h), (0, 0), (0.0, 0.0), FORWARD_EULER)
+    plan = IntegratorPlan(h, (0, 0), (0.0, 0.0), FORWARD_EULER)
     x = state
     y = state
     for _ in range(5):
@@ -201,7 +202,7 @@ def test_telescopic_zero_factors_is_forward_euler():
 
 
 def test_telescopic_zero_rhs_identity():
-    plan = IntegratorPlan((1e-4, 4e-3, 8e-2), (3, 3), (36.0, 16.0), CLASSIC_RK4)
+    plan = IntegratorPlan(1e-4, (3, 3), (36.0, 16.0), CLASSIC_RK4)
     state = np.full((3, 5), 1.3)
     out = telescopic_step(lambda u: np.zeros_like(u), state, plan)
     assert np.array_equal(out, state)
@@ -211,37 +212,37 @@ def test_telescopic_level0_is_plain_tableau_step():
     rng = np.random.default_rng(7)
     state = rng.uniform(0.5, 1.5, size=(3,))
     rhs = lambda u: np.sin(u)
-    plan = IntegratorPlan((0.05,), (), (), CLASSIC_RK4)
+    plan = IntegratorPlan(0.05, (), (), CLASSIC_RK4)
     assert np.array_equal(telescopic_step(rhs, state, plan), rk_step(rhs, state, 0.05, CLASSIC_RK4))
 
 
 def test_benchmark_two_level_layout():
-    h0 = 1e-5
-    h1 = (14.24 + 7) * h0
-    h2 = (11.83 + 7) * h1
-    plan = IntegratorPlan((h0, h1, h2), (6, 6), (14.24, 11.83), CLASSIC_RK4)
+    plan = IntegratorPlan(1e-5, (6, 6), (14.24, 11.83), CLASSIC_RK4)
     assert plan.h[2] == pytest.approx(21.24 * 18.83 * 1e-5, rel=1e-12)
     assert plan.h[2] == pytest.approx(3.9995e-3, rel=1e-5)  # product to 5 digits
     assert plan.h[2] == pytest.approx(0.4 * 0.01, rel=2e-4)
 
 
 def test_time_bookkeeping_random_plans():
-    # u' = 1 advances exactly one outer step of simulated time
+    # u' = 1 advances exactly one outer step of simulated time, and a landing
+    # step of any length from the top damping sweep up to the outer step
+    # advances exactly that length
     rng = np.random.default_rng(3)
+    landing = np.random.default_rng(4)
     tableaus = [FORWARD_EULER, MIDPOINT_RK2, CLASSIC_RK4]
     for _ in range(20):
         levels = int(rng.integers(1, 4))
-        h = [10 ** rng.uniform(-6, -3)]
+        h0 = 10 ** rng.uniform(-6, -3)
         ks, ms = [], []
         for _ in range(levels):
-            k = int(rng.integers(0, 5))
-            m = rng.uniform(0.0, 20.0)
-            ks.append(k)
-            ms.append(m)
-            h.append((m + k + 1) * h[-1])
-        plan = IntegratorPlan(h, ks, ms, tableaus[int(rng.integers(0, 3))])
+            ks.append(int(rng.integers(0, 5)))
+            ms.append(rng.uniform(0.0, 20.0))
+        plan = IntegratorPlan(h0, ks, ms, tableaus[int(rng.integers(0, 3))])
         u = telescopic_step(lambda x: 1.0, 0.0, plan)
-        assert abs(u - h[-1]) <= 1e-12 * h[-1]
+        assert abs(u - plan.h[-1]) <= 1e-12 * plan.h[-1]
+        h = landing.uniform((ks[-1] + 1) * plan.h[-2], plan.h[-1])
+        u = telescopic_step(lambda x: 1.0, 0.0, plan, h=h)
+        assert abs(u - h) <= 1e-12 * h
 
 
 def test_prk4_temporal_order():
@@ -271,7 +272,7 @@ def test_step_rejection_on_non_finite():
     assert exc.value.index == (1, 2)
     with pytest.raises(StepRejectionError):
         rk_step(bad_rhs, state, 0.1, CLASSIC_RK4)
-    plan = IntegratorPlan((0.01, 0.05), (1,), (3.0,), FORWARD_EULER)
+    plan = IntegratorPlan(0.01, (1,), (3.0,), FORWARD_EULER)
     with pytest.raises(StepRejectionError):
         telescopic_step(bad_rhs, state, plan)
 

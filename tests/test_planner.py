@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from kinproj.errors import ConfigurationError, InfeasiblePlanError
-from kinproj.integrators import CLASSIC_RK4, FORWARD_EULER
-from kinproj.planner import adapt_M, plan_from_factors, plan_levels, speedup
+from kinproj.integrators import CLASSIC_RK4, FORWARD_EULER, IntegratorPlan
+from kinproj.planner import adapt_M, plan_levels, speedup
 from kinproj.scenarios_cli import resolve_run
 
 
 def two_cluster(h0, dx, cfl, K, tableau=FORWARD_EULER):
     """The pfe/prk4 plan for a two-cluster spectrum: the one-level case of
     the geometric rule."""
-    return plan_from_factors(h0, K, adapt_M(h0, cfl * dx, K, 1), tableau)
+    return IntegratorPlan(h0, (K,), adapt_M(h0, cfl * dx, K, 1), tableau)
 
 
 def test_two_cluster_sod_parameters():
@@ -121,7 +121,7 @@ def test_adapt_product_identity_property():
 
 
 def test_telescopic_plan_assembly():
-    plan = plan_from_factors(1e-5, 6, adapt_M(1e-5, 4e-3, 6, 2), CLASSIC_RK4)
+    plan = IntegratorPlan(1e-5, (6, 6), adapt_M(1e-5, 4e-3, 6, 2), CLASSIC_RK4)
     assert plan.levels == 2
     assert plan.h[0] == 1e-5
     assert plan.h[2] == pytest.approx(4e-3, rel=1e-10)
@@ -130,8 +130,8 @@ def test_telescopic_plan_assembly():
 
 
 def test_speedup_benchmark_figures():
-    assert speedup(plan_from_factors(1e-5, 2, (397.0,))) == pytest.approx(133.3, abs=0.1)
-    assert speedup(plan_from_factors(1e-5, 6, (14.24, 11.83))) == pytest.approx(8.2, abs=0.1)
-    assert speedup(plan_from_factors(1e-5, 4, (14.24, 11.83))) == pytest.approx(13.0, abs=0.1)
-    assert speedup(plan_from_factors(1e-5, 3, (86.0,))) == pytest.approx(22.5, abs=0.1)
-    assert speedup(plan_from_factors(1e-5, 3, (6.66, 4.80))) == pytest.approx(5.9, abs=0.1)
+    assert speedup(IntegratorPlan(1e-5, (2,), (397.0,))) == pytest.approx(133.3, abs=0.1)
+    assert speedup(IntegratorPlan(1e-5, (6, 6), (14.24, 11.83))) == pytest.approx(8.2, abs=0.1)
+    assert speedup(IntegratorPlan(1e-5, (4, 4), (14.24, 11.83))) == pytest.approx(13.0, abs=0.1)
+    assert speedup(IntegratorPlan(1e-5, (3,), (86.0,))) == pytest.approx(22.5, abs=0.1)
+    assert speedup(IntegratorPlan(1e-5, (3, 3), (6.66, 4.80))) == pytest.approx(5.9, abs=0.1)

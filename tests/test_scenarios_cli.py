@@ -283,6 +283,37 @@ def test_config_file_precedence(tmp_path):
     assert manifest["epsilon"] == 0.1  # CLI wins over the file
     assert manifest["spatial"]["counts"] == [20]  # file wins over defaults
     assert manifest["integrator"] == "rk4"
+    # list-valued keys, the key k with its own dest, and an underscored key
+    cfg.write_text(
+        "scenario = sod_1d1d\n"
+        "integrator = tpfe\n"
+        "K = 2\n"
+        "M = 2.0, 2.0\n"
+        "k = 2\n"
+        "nx = 20\n"
+        "nv = 16\n"
+        "half_width = 6.0\n"
+        "t_end = 1e-3\n"
+        "snapshots = 2\n",
+        encoding="utf-8",
+    )
+    assert main(["run", "--config", str(cfg), "--nv", "12", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["weno_k"] == 2  # the scenario's own is 3
+    assert manifest["plan"]["M"] == [2.0, 2.0]
+    assert manifest["plan"]["K"] == [2, 2]
+    assert manifest["spatial"]["counts"] == [20]
+    assert manifest["velocity"]["half_width"] == 6.0
+    assert manifest["velocity"]["counts"] == [12]
+
+
+def test_grid_below_stencil_width_exits_2_before_writing(tmp_path, capsys):
+    # sod_1d1d transports with k = 3, whose stencil needs 5 cells per axis
+    out = tmp_path / "d"
+    assert main(["plan", "--scenario", "sod_1d1d", "--nx", "4"]) == 2
+    assert main(["run", "--scenario", "sod_1d1d", "--nx", "4", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.count("axis 0: 4 cells < stencil width 5") == 2
+    assert not out.exists()
 
 
 def test_config_file_errors(tmp_path):

@@ -345,8 +345,13 @@ def test_configuration_errors():
     with pytest.raises(ConfigurationError):
         make_rhs(SpatialGrid((0.0,), (1.0,), 8, "periodic"), VelocityGrid(1, 2.0, 2), 4,
                  BgkConfig("constant", 1.0))
+    bgk = BgkConfig("constant", 1.0)
     sg = SpatialGrid((0.0,), (1.0,), 3, "periodic")
     vg = VelocityGrid(1, 2.0, 2)
-    f = DistributionField(np.ones((3, 2)), sg, vg)
-    with pytest.raises(ConfigurationError):
-        transport_rhs(f, 3, {})  # needs 5 cells
+    with pytest.raises(ConfigurationError, match="3 cells < stencil width 5"):
+        make_rhs(sg, vg, 3, bgk)
+    make_rhs(sg, vg, 2, bgk)  # three cells hold the k = 2 stencil
+    sg2 = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), "periodic")
+    with pytest.raises(ConfigurationError, match="velocity dimension"):
+        make_rhs(sg2, vg, 2, bgk)  # no velocity component along y
+    make_rhs(sg2, vg, None, bgk)  # without transport the grids are not checked
