@@ -1,9 +1,11 @@
 """Step-size planning for projective and telescopic projective integration.
 
-The inner step follows the fastest collisional decay rate (epsilon over the
-peak collision frequency), the outer step follows the transport CFL limit,
-and the extrapolation factors fill the gap, spread geometrically over one or
-more nesting levels with the coarsest level absorbing the residual.
+The inner step is epsilon for every collision model, whatever its peak
+collision frequency (`scenarios_cli.resolve_run`), the outer step follows the
+transport CFL limit, and the extrapolation factors fill the gap, spread
+geometrically over one or more nesting levels with the coarsest level
+absorbing the residual. No spectrum is read; planning from the collision
+spectrum is ROADMAP.md item 3.
 `integrators.IntegratorPlan(h0, K, M, tableau)` builds the ladder itself.
 """
 

@@ -4,6 +4,9 @@ Scenarios carry the physical setup (domain, initial states, collision model)
 plus reference integrator settings. The driver resolves overrides into grids
 and an integrator plan, advances between snapshot times with exact remainder
 landing, and writes round-trip-exact CSV snapshots plus a JSON manifest.
+`describe` builds the one description of a resolved run: `plan` prints it
+with predicted steps per level, and the manifest is it plus the measured
+snapshots, steps per level, wall time and status.
 """
 
 import argparse
@@ -310,10 +313,6 @@ def _advance(rhs, f, duration, plan, counts):
     return _advance(rhs, f, rem, IntegratorPlan(plan.h[0], plan.K[:-1], plan.M[:-1]), counts)
 
 
-def _tableau_name(plan):
-    return "rk4" if plan.outer_tableau is CLASSIC_RK4 else "fe"
-
-
 def write_snapshot(path, t, name, sgrid, vgrid, values):
     """Moment-field CSV: 17-significant-digit text, one row per cell."""
     mom = moments(vgrid, values)
@@ -358,15 +357,28 @@ def run_simulation(run, out_dir):
     except StepRejectionError as exc:
         status, error = "rejected", str(exc)
 
+    manifest = describe(run)
+    manifest.update(snapshots=snap_files, steps_per_level=counts,
+                    wall_time_s=time.perf_counter() - started, status=status)
+    if error is not None:
+        manifest["error"] = error
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+    if status == "rejected":
+        raise StepRejectionError(error)
+    return manifest
+
+
+def describe(run):
+    """The resolved run as manifest.json records it before the first step."""
     plan = run.plan
-    tableau = _tableau_name(plan)
+    tableau = "rk4" if plan.outer_tableau is CLASSIC_RK4 else "fe"
     if plan.levels == 0:
         plan_info = {"dt": plan.h[0], "tableau": tableau}
-        gain = None
     else:
         plan_info = {"h": list(plan.h), "K": list(plan.K), "M": list(plan.M), "tableau": tableau}
-        gain = speedup(plan)
-    manifest = {
+    return {
         "scenario": run.scenario.name,
         "preset": run.preset,
         "integrator": run.integrator,
@@ -386,22 +398,10 @@ def run_simulation(run, out_dir):
             "counts": list(run.vgrid.counts),
         },
         "plan": plan_info,
-        "speedup": gain,
+        "speedup": speedup(plan) if plan.levels else None,
         "t_end": run.t_end,
         "snapshot_times": list(run.snapshot_times),
-        "snapshots": snap_files,
-        "steps_per_level": counts,
-        "wall_time_s": time.perf_counter() - started,
-        "status": status,
     }
-    if error is not None:
-        manifest["error"] = error
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
-    if status == "rejected":
-        raise StepRejectionError(error)
-    return manifest
 
 
 # -------------------------------------------------------------- CLI plumbing
@@ -494,31 +494,12 @@ def _cmd_run(args):
 
 def _cmd_plan(args):
     run, _ = _resolved_from_args(args)
-    print(f"scenario    {run.scenario.name}")
-    print(f"preset      {run.preset}")
-    print(f"integrator  {run.integrator}")
-    print(f"collision   {run.collision_name}")
-    print(f"epsilon     {run.epsilon:g}")
-    print(f"grid        {run.sgrid.counts} cells, {run.vgrid.counts} velocity nodes")
-    print(f"weno_k      {run.weno_k}")
-    plan = run.plan
-    # the run's own stepping on a scalar no-op RHS counts its steps per level
-    counts = [0] * (plan.levels + 1)
+    # the run's own stepping on a scalar no-op RHS predicts its steps per level
+    counts = [0] * (run.plan.levels + 1)
     times = run.snapshot_times
     for i in range(1, len(times)):
-        _advance(lambda y: 0.0, 0.0, times[i] - times[i - 1], plan, counts)
-    if plan.levels == 0:
-        print(f"dt          {plan.h[0]:g}")
-        print(f"steps       {counts[0]} to t={run.t_end:g}")
-    else:
-        print(f"levels      {plan.levels}")
-        print(f"h           {' '.join(f'{h:g}' for h in plan.h)}")
-        print(f"K           {' '.join(str(k) for k in plan.K)}")
-        print(f"M           {' '.join(f'{m:g}' for m in plan.M)}")
-        print(f"tableau     {_tableau_name(plan)}")
-        print(f"steps/level {' '.join(str(c) for c in counts)}")
-        print(f"outer steps {counts[-1]} to t={run.t_end:g}")
-        print(f"speedup     {speedup(plan):.4f}")
+        _advance(lambda y: 0.0, 0.0, times[i] - times[i - 1], run.plan, counts)
+    print(json.dumps(describe(run) | {"steps_per_level": counts}, indent=2))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Spectral diagnostics for linearized collision and transport operators.
 
 Builds dense linearizations on small phase-space grids, takes their
-spectra, and reports the fast/slow eigenvalue clusters whose gap the time
-integration planner relies on.
+spectra, and reports the fast/slow eigenvalue clusters and the gap between
+them. The planner does not read these yet; planning from the spectrum is
+ROADMAP.md item 3.
 """
 
 import numpy as np
@@ -85,6 +86,7 @@ def jacobian_probe(rhs, state, eta=None):
         raise ConfigurationError(
             f"dimension {n} above the dense-probe limit {MAX_DENSE_DIMENSION}"
         )
+    # the default's roundoff floor is ~1e-9 relative at any state scale; a larger eta goes below it
     if eta is None:
         eta = 1e-7 * np.linalg.norm(state.ravel())
         if eta == 0.0:

@@ -332,27 +332,42 @@ def test_config_file_errors(tmp_path):
 
 def test_plan_command(capsys):
     assert main(["plan", "--scenario", "sod_1d1d"]) == 0
-    out = capsys.readouterr().out
-    assert "speedup     133.3333" in out
-    assert "M           397" in out
+    planned = json.loads(capsys.readouterr().out)
+    assert planned["speedup"] == pytest.approx(400.0 / 3.0, rel=1e-12)
+    assert planned["plan"]["M"] == [397.0]
     # five snapshots: 4 intervals of 0.0375, each 37 steps of 1e-3 and one
     # landing step; with two snapshots, the 150 steps of test_rk4_step_count
     assert main(["plan", "--scenario", "sod_1d1d", "--integrator", "rk4",
                  "--epsilon", "0.1", "--cfl", "0.1"]) == 0
-    out = capsys.readouterr().out
-    assert "steps       152 to t=0.15" in out
+    planned = json.loads(capsys.readouterr().out)
+    assert planned["steps_per_level"] == [152]
+    assert planned["t_end"] == 0.15
     assert main(["plan", "--scenario", "sod_1d1d", "--integrator", "rk4",
                  "--epsilon", "0.1", "--cfl", "0.1", "--snapshots", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "steps       150 to t=0.15" in out
+    planned = json.loads(capsys.readouterr().out)
+    assert planned["steps_per_level"] == [150]
+    assert planned["t_end"] == 0.15
 
 
-def test_plan_command_counts_the_run_steps(capsys):
-    # the run of test_manifest_plan_bookkeeping takes [240, 20] steps
-    assert main(["plan", "--scenario", "sod_1d1d", "--nx", "50", "--nv", "32"]) == 0
-    out = capsys.readouterr().out
-    assert "steps/level 240 20\n" in out
-    assert "outer steps 20 to t=0.15\n" in out
+@pytest.mark.parametrize("argv, counts", [
+    # the run of test_manifest_plan_bookkeeping
+    (["--nx", "50", "--nv", "32"], [240, 20]),
+    # the two_levels_down ladder of test_remainder_landing_counts
+    (["--integrator", "tpfe", "--K", "2", "--M", "2,2", "--nx", "20", "--nv", "16",
+      "--snapshots", "2", "--t-end", repr(1e-3 + 6.5e-5)], [41, 13, 4]),
+    # plain steps of 0.1 dx = 5e-3: 4 intervals of 7 steps and one landing step
+    (["--integrator", "rk4", "--epsilon", "0.1", "--cfl", "0.1", "--nx", "20",
+      "--nv", "16"], [32]),
+], ids=["bookkeeping_run", "two_levels_down", "plain_rk4"])
+def test_plan_predicts_the_run(tmp_path, capsys, argv, counts):
+    argv = ["--scenario", "sod_1d1d"] + argv
+    assert main(["plan"] + argv) == 0
+    planned = json.loads(capsys.readouterr().out)
+    assert planned["steps_per_level"] == counts
+    assert main(["run"] + argv + ["--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "completed"
+    assert {key: manifest[key] for key in planned} == planned
 
 
 def test_spectrum_command(tmp_path, capsys):
