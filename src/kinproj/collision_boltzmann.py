@@ -10,15 +10,37 @@ periodized there, and the Carleman-form bilinear quadrature
     phi(s)      = 2 R sinc(R s),          theta_p = pi p / N_theta,
 
 is realized with unpadded discrete Fourier transforms (the convolution is
-mod-N per axis), one per distinct angular table plus two per slice. Each 1D
-pass of a transform is one real matrix product of the whole block's rows with
-a dense 2N x 2N DFT matrix acting on the interleaved (re, im) view, so a slice
-costs O(N_theta N^3). At the grid sizes the scenarios use (J = 16, 32) that is
-faster than numpy's FFT, whose per-transform overhead dominates for short
-transforms; at J = 64 it is slower. Support truncation radius R = lambda*pi
-with lambda = 2/(3+sqrt(2)). Physical output carries the constant-kernel
-prefactor 2*b0 and the box Jacobian (V/pi)^2; with b0 = 1/(2 pi) the
-untruncated loss term is exactly rho*f.
+mod-N per axis): one forward transform per slice, and one inverse per
+distinct angular table and for the loss multiplier B(m,m). Support
+truncation radius R = lambda*pi with lambda = 2/(3+sqrt(2)). Physical output
+carries the constant-kernel prefactor 2*b0 and the box Jacobian (V/pi)^2;
+with b0 = 1/(2 pi) the untruncated loss term is exactly rho*f.
+
+The kernel runs in real arithmetic on half spectra. A slice is real, so its
+spectrum G is Hermitian and the bins k_y = 0..N/2 hold all of it. The
+forward transform takes each real row to N/2+1 interleaved (re, im) bins
+with one real N x (N+2) matrix, then runs the complex pass along x over
+those N/2+1 half rows only. An inverse is the complex pass over the half
+rows followed by one real (N+2) x N matrix back to real rows. Each pass is
+one matrix product of a whole block of slices, so a slice costs
+O(N_theta N^3): at J = 16 and N_theta = 4, 101k real multiply-adds per Q_N
+in the products (83k in the transforms, 18k in the Nyquist term below),
+against 188k for complex passes over the full spectrum. At
+J = 16 and 32 the transforms run in half the time numpy's FFT takes on the
+same half spectra, and in about the same time at J = 64.
+
+This is the real part of the complex quadrature, exact to roundoff, not an
+approximation of it. A table t enters through its even part
+t_e(k) = (t(k) + t(-k))/2; its product with a Hermitian spectrum has a real
+inverse, Re IFFT2(t G). The odd part t - t_e vanishes except on the Nyquist
+row and column, where -k wraps onto the line itself. There it is O(1/N) of
+the table for angles off the axes, and its inverse is purely imaginary:
+i (s_a r(b) + s_b c(a)) with s = (-1)^index and r, c one-dimensional. The
+gain keeps Re(X_i X_j) = Re X_i Re X_j - Im X_i Im X_j whole, with the
+second product formed from r and c (dropping it would cost 0.4% of |Q| at
+J = 16). The loss f * IFFT2(B(m,m) G) needs only the real part, as f is
+real. The plan derives which tables and pairs carry the odd term from the
+tables themselves, so any N_theta stays exact.
 
 ``boltzmann_q`` is this raw operator Q_N. On a coarse velocity grid Q_N does
 not vanish at sampled Maxwellians (|Q_N(M)| = 3.6e-4 at J = 16, V = 8,
@@ -48,16 +70,18 @@ def phi_profile(radius, s):
     return 2.0 * radius * np.sinc(radius * np.asarray(s) / np.pi)
 
 
-def _interleaved(w):
-    """Real (2N, 2N) matrix of right-multiplication by complex (N, N) w on
-    rows stored as interleaved (re, im) pairs."""
-    n = w.shape[0]
-    out = np.empty((2 * n, 2 * n))
-    out[0::2, 0::2] = w.real
-    out[0::2, 1::2] = w.imag
-    out[1::2, 0::2] = -w.imag
-    out[1::2, 1::2] = w.real
-    return out
+def _real_form(w):
+    """Real (2K, 2M) matrix that acts on rows of interleaved (re, im) pairs as
+    complex (K, M) w acts on complex rows: row 2j is the image of a real unit
+    at j, row 2j+1 that of an imaginary unit."""
+    return np.stack([w, 1j * w], axis=1).view(float).reshape(2 * w.shape[0], -1)
+
+
+def _same_to_roundoff(u, v):
+    """Whether two multiplier tables differ only by the rounding of cos and
+    sin, by at most 1e-13 of u's largest value; tables of different angles
+    differ by O(1/N) of it."""
+    return np.abs(u - v).max() <= 1e-13 * np.abs(u).max()
 
 
 class SpectralPlan:
@@ -90,14 +114,15 @@ class SpectralPlan:
             )
         self.weight_theta = np.pi / n_theta
         # Distinct multiplier tables, each transformed once per evaluation:
-        # the quarter turn maps some alpha' tables onto alpha tables bit for
-        # bit (for n_theta = 4, alpha'_1 = alpha_3 and alpha'_3 = alpha_1).
-        # pairs[p] indexes the (alpha_p, alpha'_p) tables of angle p.
+        # the quarter turn maps alpha' tables onto alpha tables up to the
+        # rounding of cos and sin (for n_theta = 4, alpha'_p = alpha_{p+2},
+        # indices mod 4, as phi is even). pairs[p] indexes the
+        # (alpha_p, alpha'_p) tables of angle p.
         tables = []
 
         def table_index(t):
             for i, u in enumerate(tables):
-                if np.array_equal(u, t):
+                if _same_to_roundoff(u, t):
                     return i
             tables.append(t)
             return len(tables) - 1
@@ -111,19 +136,47 @@ class SpectralPlan:
         self.bhat_diag = self.weight_theta * np.sum(
             self.alpha * self.alpha_prime, axis=0
         )
-        # DFT matrices for the kernel. A complex row z times a complex
-        # matrix W is the real row [Re z_0, Im z_0, Re z_1, ...] times the
-        # real 2N x 2N matrix _interleaved(W); a real row needs only the
-        # even rows of it. The inverse carries numpy's 1/N per axis.
-        k = np.arange(self.modes)
-        w = np.exp(-2j * np.pi * (np.outer(k, k) % self.modes) / self.modes)
-        self.dft = _interleaved(w)
-        self.dft_real = self.dft[0::2].copy()
-        self.idft = _interleaved(w.conj() / self.modes)
-        # The kernel holds spectra transposed, (k_y, k_x), with each entry
-        # repeated for its (re, im) pair; the multipliers follow that layout.
-        self.table_multipliers = np.repeat(self.tables.transpose(0, 2, 1), 2, axis=-1)
-        self.loss_multiplier = np.repeat(self.bhat_diag.T, 2, axis=-1)
+        # Half spectra (see the module docstring): bins k_y = 0..N/2, all k_x.
+        # Even parts t_e(k) = (t(k) + t(-k))/2 of every table and of B(m,m),
+        # in the kernel's (k_y, k_x) layout with each entry repeated for its
+        # (re, im) pair; the odd parts feed the Nyquist term.
+        n, h = self.modes, self.modes // 2 + 1
+        multipliers = np.concatenate([self.tables, [self.bhat_diag]])
+        flipped = np.roll(multipliers[:, ::-1, ::-1], 1, axis=(1, 2))  # t(-k)
+        even = 0.5 * (multipliers + flipped)
+        odd = 0.5 * (multipliers - flipped)
+        self.half_multipliers = np.repeat(even[:, :, :h].transpose(0, 2, 1), 2, axis=-1)
+        k = np.arange(n)
+        w = np.exp(2j * np.pi * (np.outer(k, k) % n) / n)  # inverse DFT kernel
+        # real rows -> bins 0..N/2, N x (N+2); complex passes, 2N x 2N
+        self.r2c = _real_form(w[:, :h].conj())[0::2]
+        self.cdft = _real_form(w.conj())
+        self.cidft = _real_form(w / n)
+        # Hermitian bins 0..N/2 -> real rows with numpy's 1/N, (N+2) x N;
+        # the imaginary parts of bins 0 and N/2 are dropped
+        weight = np.full(h, 2.0 / n)
+        weight[[0, -1]] = 1.0 / n
+        self.c2r = _real_form(weight[:, None] * w[:h])[:, 0::2]
+        self.c2r[[1, -1]] = 0.0
+        # Nyquist term. For a table with odd part o, Im IFFT2(t G)(a, b) is
+        # s_a r(b) + s_b c(a), s = (-1)^index, with r and c the inverse
+        # transforms of o G along the Nyquist row (k_x = N/2) and column
+        # (k_y = N/2); o G is anti-Hermitian along each line, so bins 0..N/2
+        # fix it. The signs cancel in the product of two such parts,
+        # (r~_i(b) + c~_i(a)) (r~_j(b) + c~_j(a)) with r~ = s r, c~ = s c,
+        # which the gain subtracts for every pair of two odd tables.
+        is_odd = [not _same_to_roundoff(t, u) for t, u in zip(self.tables, flipped)]
+        odd_pairs = [(i, j) for i, j in self.pairs if is_odd[i] and is_odd[j]]
+        odd_tables = sorted({t for pair in odd_pairs for t in pair})
+        position = {t: q for q, t in enumerate(odd_tables)}
+        self.odd_pairs = [(position[i], position[j]) for i, j in odd_pairs]
+        # o on the [row, column] bins 0..N/2, each repeated for (re, im)
+        lines = [odd[odd_tables, n // 2, :h], odd[odd_tables, :h, n // 2]]
+        self.odd_lines = np.repeat(np.concatenate(lines, axis=1), 2, axis=-1)
+        # [row, column] bins -> r~(b) + c~(a) on the flattened (a, b) grid,
+        # 4(N/2+1) x N^2
+        line = _real_form((2.0 / n**2) * w[:h] * (-1.0) ** k)[:, 1::2]
+        self.nyquist = np.concatenate([np.tile(line, n), np.repeat(line, n, axis=1)])
 
 
 def _check_slice(plan, slices):
@@ -135,43 +188,52 @@ def _check_slice(plan, slices):
 
 
 # Slices per kernel block: 8,192 velocity nodes (32 slices at J = 16) keep the
-# block's interleaved spectra (128 KiB each) in cache while giving each DFT
+# block's half spectra (72 KiB per multiplier) in cache while giving each
 # matrix product enough rows. Q_N on 1,024 cells at J = 16, median of 7 on a
-# 2-core x86-64 VM with OpenBLAS: 2,048 nodes 45 ms, 4,096 35 ms, 8,192 32 ms,
-# 16,384 44 ms, 32,768 45 ms (pocketfft passes over 8,192-node blocks: 60 ms).
-# The BLAS computes each row of a product alike whatever the number of rows
-# (``test_batch_matches_loop`` checks it), so the block size does not change a
-# single bit of the result.
+# 2-core x86-64 VM with OpenBLAS, two sweeps: 2,048 nodes 19-20 ms, 4,096
+# 14-16 ms, 8,192 14-15 ms, 16,384 16-17 ms, 32,768 17-18 ms. The same
+# transforms through numpy's pocketfft (rfft2/irfft2 over 8,192-node blocks)
+# take 2.3x as long at J = 16 and 2.0x at J = 32, and 0.9-1.1x at J = 64.
+# The BLAS computes each row of a product alike whatever the number of rows,
+# given at least two (``test_batch_matches_loop`` checks it), so the block
+# size does not change a single bit of the result.
 _BLOCK_NODES = 8192
 
 
-def _dft_rows(x, matrix):
-    """One 1D DFT pass along the last axis of real (B, N, M) x, as a single
-    matrix product of all B*N rows; complex (B, N, N) result."""
-    b, n, m = x.shape
-    return (x.reshape(b * n, m) @ matrix).view(complex).reshape(b, n, n)
+def _rows(x, matrix):
+    """x @ matrix over the last axis of x, all leading axes as rows."""
+    return (x.reshape(-1, x.shape[-1]) @ matrix).reshape(x.shape[:-1] + (-1,))
 
 
-def _dft2(x, first, second):
-    """2D DFT of real (B, N, M) x: a pass with ``first`` along the last axis,
-    one transpose copy, a pass with ``second`` along the other axis. The
-    complex (B, N, N) result comes out with its two axes swapped."""
-    half = np.ascontiguousarray(_dft_rows(x, first).transpose(0, 2, 1))
-    return _dft_rows(half.view(float), second)
+def _swap(x):
+    """Interleaved complex (..., P, 2Q) -> (..., Q, 2P), the two axes swapped."""
+    z = x.view(complex)
+    return np.ascontiguousarray(np.swapaxes(z, -1, -2)).view(float)
 
 
-def _gain_loss_block(plan, slices):
-    """Unit-box (gain, loss) convolutions (complex, unscaled) of a (B, N, N) block."""
-    # spectrum in the (k_y, k_x) layout, interleaved (re, im); the inverse
-    # transforms swap the axes back to (x, y)
-    G = _dft2(slices, plan.dft_real, plan.dft).view(float)
-    X = [_dft2(t * G, plan.idft, plan.idft) for t in plan.table_multipliers]
-    gain = np.zeros_like(X[0])
+def _q_block(plan, block):
+    """Unit-box collision values (unscaled) of a real (B, N, N) block."""
+    n, h = plan.modes, plan.modes // 2 + 1
+    # half spectrum G in the (k_y, k_x) layout, interleaved (re, im)
+    G = _rows(_swap(_rows(block, plan.r2c)), plan.cdft)
+    # every table's even part and the loss multiplier, transformed back at
+    # once: the x passes, the axes swapped, the real y passes
+    X = _rows(_swap(_rows(plan.half_multipliers[:, None] * G, plan.cidft)), plan.c2r)
+    gain = np.zeros_like(block)
     for i, j in plan.pairs:
         gain += X[i] * X[j]
+    if plan.odd_pairs:
+        # Nyquist row (k_x = N/2) and column (k_y = N/2), bins 0..N/2; a pair
+        # joins two tables, so the product has at least two rows even for
+        # one slice (a one-row product takes the BLAS's matrix-vector path,
+        # which rounds differently)
+        lines = np.concatenate([G[:, :, n : n + 2].reshape(-1, 2 * h), G[:, -1, : 2 * h]], 1)
+        part = _rows(plan.odd_lines[:, None] * lines, plan.nyquist).reshape(-1, *block.shape)
+        for i, j in plan.odd_pairs:
+            gain -= part[i] * part[j]
     gain *= plan.weight_theta
-    loss = slices * _dft2(plan.loss_multiplier * G, plan.idft, plan.idft)
-    return gain, loss
+    gain -= block * X[-1]
+    return gain
 
 
 def _blocks(plan, slices):
@@ -183,13 +245,12 @@ def _blocks(plan, slices):
         yield slice(i, i + step), flat[i : i + step]
 
 
-def _q_complex(plan, slices):
-    """Unit-box collision values (complex, unscaled) for (..., N, N) slices."""
-    out = np.empty(slices.shape, dtype=complex)
+def _q(plan, slices):
+    """Unit-box collision values (unscaled) for real (..., N, N) slices."""
+    out = np.empty(slices.shape)
     flat_out = out.reshape(-1, plan.modes, plan.modes)
     for idx, block in _blocks(plan, slices):
-        gain, loss = _gain_loss_block(plan, block)
-        flat_out[idx] = gain - loss
+        flat_out[idx] = _q_block(plan, block)
     return out
 
 
@@ -197,7 +258,7 @@ def boltzmann_q(plan, slice_values):
     """Physical collision operator values on one (or a batch of) J x J slice(s)."""
     slices = np.asarray(slice_values, dtype=float)
     _check_slice(plan, slices)
-    return plan.scale * _q_complex(plan, slices).real
+    return plan.scale * _q(plan, slices)
 
 
 def boltzmann_rhs(field, plan, epsilon):
@@ -225,4 +286,4 @@ def boltzmann_rhs(field, plan, epsilon):
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     f = field.values
     eq = local_maxwellian(vg, moments(vg, f))
-    return (plan.scale / epsilon) * (_q_complex(plan, f) - _q_complex(plan, eq)).real
+    return (plan.scale / epsilon) * (_q(plan, f) - _q(plan, eq))

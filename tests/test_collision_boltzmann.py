@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import kinproj.collision_boltzmann as cb
 from kinproj.collision_boltzmann import (
     DEFAULT_B0,
     LAMBDA,
@@ -110,20 +109,31 @@ def test_bilinear_scaling():
     assert np.abs(qa - 0.37**2 * q).max() <= 1e-12 * np.abs(q).max()
 
 
-def test_imaginary_residue_is_roundoff_when_bandlimited():
-    # the complex realization picks up an imaginary artifact only from
-    # Nyquist-row spectral content (whose negation is not representable);
-    # a band-limited slice must come back real to roundoff
-    n = 16
-    plan = SpectralPlan(n, 8.0)
-    rng = np.random.default_rng(5)
-    spec = np.fft.fft2(rng.uniform(0.1, 1.1, size=(n, n)))
-    freq = np.fft.fftfreq(n, 1.0 / n)
-    keep = np.abs(freq) <= n // 4
-    spec *= keep[:, None] * keep[None, :]
-    s = np.fft.ifft2(spec).real
-    z = cb._q_complex(plan, s)
-    assert np.abs(z.imag).max() <= 1e-12 * np.abs(z.real).max()
+def complex_q(plan, s):
+    """Q_N of one slice through numpy's complex FFTs and the full tables,
+    odd Nyquist parts included; the real kernel must agree to roundoff."""
+    g = np.fft.fft2(s)
+    x = [np.fft.ifft2(t * g) for t in plan.tables]
+    gain = plan.weight_theta * sum(x[i] * x[j] for i, j in plan.pairs)
+    loss = s * np.fft.ifft2(plan.bhat_diag * g)
+    return plan.scale * (gain - loss).real
+
+
+@pytest.mark.parametrize("n", [16, 32])
+@pytest.mark.parametrize("n_theta", [4, 8])
+def test_matches_complex_reference(n, n_theta):
+    # random slices carry Nyquist content, where the tables' odd parts
+    # contribute at 1e-3 of |Q|; the two-Maxwellian slice is smooth but far
+    # from equilibrium (at a Maxwellian max|Q| is itself roundoff)
+    plan = SpectralPlan(n, 8.0, n_theta=n_theta)
+    vg = VelocityGrid(2, 8.0, n)
+    rng = np.random.default_rng(40 + n + n_theta)
+    two = 0.6 * maxwellian(vg, 1.0, [1.2, -0.4], 0.9) + 0.4 * maxwellian(vg, 0.8, [-1.0, 0.6], 1.3)
+    slices = np.concatenate([rng.uniform(0.1, 1.1, size=(4, n, n)), two[None]])
+    q = boltzmann_q(plan, slices)
+    for s, qs in zip(slices, q):
+        ref = complex_q(plan, s)
+        assert np.abs(qs - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_loss_tracks_density():
@@ -133,8 +143,7 @@ def test_loss_tracks_density():
     vg = VelocityGrid(2, 8.0, 32)
     for rho, u, t in [(1.0, [0.0, 0.0], 1.0), (1.3, [0.5, -0.3], 0.7)]:
         f = maxwellian(vg, rho, u, t)
-        _, loss = cb._gain_loss_block(plan, f[None])
-        loss = plan.scale * loss[0].real
+        loss = plan.scale * f * np.fft.ifft2(plan.bhat_diag * np.fft.fft2(f)).real
         rho_q = vg.weight * f.sum()
         assert np.abs(loss - rho_q * f).max() <= 1e-2 * np.abs(rho_q * f).max()
 
@@ -185,6 +194,16 @@ def test_batch_matches_loop():
     qm = boltzmann_q(plan, many)
     assert np.array_equal(qm, boltzmann_q(plan, many))
     for k in range(70):
+        assert np.array_equal(qm[k], boltzmann_q(plan, many[k]))
+
+
+def test_ragged_blocks_match_loop_at_j32():
+    # 19 slices run as kernel blocks of 8, 8 and 3 at J = 32, where the
+    # Nyquist-line products have their own row counts
+    plan = SpectralPlan(32, 8.0)
+    many = np.random.default_rng(11).uniform(0.1, 1.1, size=(19, 32, 32))
+    qm = boltzmann_q(plan, many)
+    for k in range(19):
         assert np.array_equal(qm[k], boltzmann_q(plan, many[k]))
 
 
