@@ -11,12 +11,16 @@ owns and passes to every call: `integrators.make_rhs` makes one per RHS
 closure, so a closure is not safe to share between threads. Buffers are
 keyed by name and shape, so each axis and a ragged last block get their own.
 Reusing them keeps the memory warm from one call to the next instead of
-returning it to the operating system and faulting it in again. The returned
-array is still new on every call: Runge-Kutta stages keep earlier slopes and
-the Jacobian probe subtracts two consecutive results, so the output must never
+returning it to the operating system and faulting it in again. The same dict
+keeps the per-axis layout of the grids (index tuples, block slices, |v| per
+block), built on the first call. The fluxes are subtracted from the caller's output
+array, or from a new one: Runge-Kutta stages keep earlier slopes and the
+Jacobian probe subtracts two consecutive results, so the output must never
 alias a buffer. Every operation runs in the order of the plain array formulas
 in the comments, so the result is the same bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -157,9 +161,52 @@ def _fill_ghosts(P, k, boundary):
         P[n + k :] = P[n + k - 1]
 
 
-def transport_rhs(field, k, work):
+def _layout(work, sg, vg, shape):
+    """Per-axis layout of a field of this shape on these grids.
+
+    One entry per transported axis: the axis order that brings it to the
+    front, its spacing and boundary, the index tuples of the negative- and
+    positive-speed halves, and the blocks, each a slice tuple and |v| at
+    each of its values. It depends on nothing but the grids, so it is
+    built once and kept in ``work`` under ("layout", shape); other grids
+    of the same shape rebuild it.
+    """
+    lay = work.get(("layout", shape))
+    if lay is not None and lay[0] is sg and lay[1] is vg:
+        return lay[2]
+    ndim = len(shape)
+    axes = []
+    for a in range(sg.dx_dims):
+        va = sg.dx_dims + a  # array axis of the matching velocity component
+        order = (a,) + tuple(i for i in range(ndim) if i != a)  # np.moveaxis(., a, 0)
+        ashape = tuple(shape[i] for i in order)
+        speeds = vg.axes[a]
+        n_neg = int(np.searchsorted(speeds, 0.0))
+        neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(ndim))
+        pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(ndim))
+        w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(ndim)])
+        # blocks cut a transverse axis other than va (none in 1D/1V: one block)
+        bax = next((i for i in range(1, ndim) if i != va), None)
+        n_b = 1 if bax is None else ashape[bax]
+        step = max(1, _BLOCK_POINTS * n_b // math.prod(ashape))
+        # |v| spread over a whole block: a same-shape product is a plain
+        # elementwise pass, where a broadcast one iterates line by line
+        speed = {}
+        blocks = []
+        for j in range(0, n_b, step):
+            blk = tuple(slice(j, j + step) if i == bax else slice(None) for i in range(ndim))
+            lines = tuple(min(step, n_b - j) if i == bax else ashape[i] for i in range(1, ndim))
+            if lines not in speed:
+                speed[lines] = np.broadcast_to(w, ashape[:1] + lines).copy()
+            blocks.append((blk, speed[lines]))
+        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, blocks))
+    work[("layout", shape)] = (sg, vg, axes)
+    return axes
+
+
+def transport_rhs(field, k, work, out=None):
     """-v.grad_x f with upwind WENO interface fluxes of order index k (a key
-    of IDEAL_WEIGHTS), all spatial axes.
+    of IDEAL_WEIGHTS), all spatial axes, subtracted from ``out``.
 
     A negative speed v is the speed |v| on the mirrored axis, and the
     right-biased reconstruction is the left-biased one of the mirrored
@@ -169,44 +216,36 @@ def transport_rhs(field, k, work):
     the axis are independent and are reconstructed in blocks of about
     ``_BLOCK_POINTS`` values that keep the stencil temporaries in cache.
 
-    ``work`` is the caller's dict of work buffers (see the module notes);
-    the returned array is new on every call. The configuration is the one
+    ``work`` is the caller's dict of work buffers and grid layouts (see the
+    module notes). ``out`` is an array of the field's shape that the fluxes
+    are subtracted from in place, and is returned; without it the fluxes
+    are subtracted from a new array of zeros. The configuration is the one
     `integrators.make_rhs` checks: every transported axis has a velocity
     component and at least 2k - 1 cells.
     """
-    sg, vg = field.sgrid, field.vgrid
     f = field.values
-    out = np.zeros_like(f)
-    for a in range(sg.dx_dims):
-        va = sg.dx_dims + a  # array axis of the matching velocity component
-        speeds = vg.axes[a]
-        n_neg = int(np.searchsorted(speeds, 0.0))
-        h = sg.spacings[a]
-        fa = np.moveaxis(f, a, 0)
-        oa = np.moveaxis(out, a, 0)
+    if out is None:
+        out = np.zeros_like(f)
+    for order, h, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
+        fa, oa = f.transpose(order), out.transpose(order)
         N = fa.shape[0]
-        neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(fa.ndim))
-        pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(fa.ndim))
-        w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(fa.ndim)])
-        # blocks cut a transverse axis other than va (none in 1D/1V: one block)
-        bax = next((i for i in range(1, fa.ndim) if i != va), None)
-        n_b = 1 if bax is None else fa.shape[bax]
-        step = max(1, _BLOCK_POINTS * n_b // fa.size)
-        for j in range(0, n_b, step):
-            blk = tuple(slice(j, j + step) if i == bax else slice(None) for i in range(fa.ndim))
+        for blk, w in blocks:
             fb, ob = fa[blk], oa[blk]
             # padded lines: the negative-speed half mirrored, then ghost cells
             P = _buf(work, "P", (N + 2 * k,) + fb.shape[1:])
             lines = P[k : N + k]
             lines[neg] = fb[neg][::-1]
             lines[pos] = fb[pos]
-            _fill_ghosts(P, k, sg.boundaries[a])
+            _fill_ghosts(P, k, boundary)
             fhat = _reconstruct_left(k, P, N + 1, work)
             flux = _buf(work, "flux", fb.shape)
             np.subtract(fhat[1:], fhat[:-1], out=flux)
             np.multiply(w, flux, out=flux)
             np.divide(flux, h, out=flux)
-            o_neg, o_pos = ob[neg][::-1], ob[pos]  # output views, laid out as lines
-            np.subtract(o_neg, flux[neg], out=o_neg)
-            np.subtract(o_pos, flux[pos], out=o_pos)
+            # back to the field's layout, then one subtraction: a ufunc over
+            # the two half views would iterate them line by line
+            dflux = _buf(work, "dflux", fb.shape)
+            dflux[neg] = flux[neg][::-1]
+            dflux[pos] = flux[pos]
+            np.subtract(ob, dflux, out=ob)
     return out

@@ -48,6 +48,56 @@ def test_maxwellian_rejects_bad_inputs():
         maxwellian(g, 1.0, [0.0, 0.0], -2.0)
 
 
+def test_maxwellian_rejects_bad_cell_arrays():
+    # per-cell parameters with one bad cell, also when writing into `out`
+    g = VelocityGrid(1, 8.0, 16)
+    out = np.empty((3, 16))
+    for name, value in (("rho", np.inf), ("rho", -0.1), ("u", np.nan),
+                        ("T", np.nan), ("T", 0.0), ("T", -1.0)):
+        params = {"rho": np.ones(3), "u": np.zeros((3, 1)), "T": np.ones(3)}
+        params[name][1] = value
+        with pytest.raises(ValueError):
+            maxwellian(g, **params)
+        with pytest.raises(ValueError):
+            maxwellian(g, **params, out=out)
+
+
+def direct_maxwellian(g, rho, u, T):
+    """rho/(2 pi T)^(dv/2) exp(-|v-u|^2 / 2T), the exponent summed over the
+    components before one exp, per cell of the leading axes."""
+    pad = (1,) * g.dv
+    Tb = T.reshape(T.shape + pad)
+    q = sum((g.node_component(d) - u[..., d].reshape(T.shape + pad)) ** 2
+            for d in range(g.dv))
+    return rho.reshape(T.shape + pad) / (2 * np.pi * Tb) ** (g.dv / 2) * np.exp(-q / (2 * Tb))
+
+
+@pytest.mark.parametrize("dv, counts", [(1, 80), (2, (16, 12))])
+def test_maxwellian_matches_direct_formula(dv, counts):
+    # the per-axis factors agree with one exp of the whole exponent to
+    # roundoff, relative to each slice's peak: in the tails an exponent x
+    # carries an absolute rounding of |x| ulp, so exp(x) a relative one
+    g = VelocityGrid(dv, 8.0, counts)
+    rng = np.random.default_rng(5)
+    rho = rng.uniform(0.1, 2.0, size=(3, 2))
+    rho[1, 0] = 0.0  # a vacuum cell
+    u = rng.uniform(-1.0, 1.0, size=(3, 2, dv))
+    T = rng.uniform(0.5, 1.5, size=(3, 2))
+    ref = direct_maxwellian(g, rho, u, T)
+    got = maxwellian(g, rho, u, T)
+    assert got.shape == ref.shape == (3, 2) + g.counts
+    vel = tuple(range(2, 2 + dv))
+    peak = ref.max(axis=vel)
+    assert np.all(np.abs(got - ref).max(axis=vel) <= 1e-14 * peak)
+    assert np.all(got[1, 0] == 0.0)
+    # `out` is written in full and returned, also when it held other values
+    out = np.full_like(ref, np.nan)
+    assert maxwellian(g, rho, u, T, out=out) is out
+    assert np.array_equal(out, got)
+    maxwellian(g, rho[::-1], u[::-1], T[::-1], out=out)
+    assert np.array_equal(out, maxwellian(g, rho[::-1], u[::-1], T[::-1]))
+
+
 def test_maxwellian_zero_density_is_zero_slice():
     g = VelocityGrid(2, 8.0, 16)
     assert np.all(maxwellian(g, 0.0, [0.3, -0.2], 0.5) == 0.0)
@@ -102,6 +152,31 @@ def test_moments_vectorize_over_cells():
             assert mom.rho[i, j] == pytest.approx(single.rho, rel=1e-14)
             assert mom.T[i, j] == pytest.approx(single.T, rel=1e-13)
             np.testing.assert_allclose(mom.u[i, j], single.u, rtol=1e-13)
+
+
+@pytest.mark.parametrize("dv, counts", [(1, 40), (2, (16, 12))])
+def test_moments_match_direct_sums_per_cell(dv, counts):
+    # one matrix product against the plain weighted sums, per cell, with
+    # the temperature from the centered second moment; cell 2 is vacuum
+    g = VelocityGrid(dv, 8.0, counts)
+    rng = np.random.default_rng(7)
+    f = rng.uniform(0.01, 1.0, size=(4,) + g.counts)
+    f[:, ::3] *= 0.1  # uneven slices give a nonzero bulk velocity
+    f[2] = 0.0
+    mom = moments(g, f)
+    w = g.weight
+    v = [g.node_component(d) for d in range(dv)]
+    for i in (0, 1, 3):
+        rho = w * np.sum(f[i])
+        u = np.array([w * np.sum(v[d] * f[i]) / rho for d in range(dv)])
+        c2 = sum((v[d] - u[d]) ** 2 for d in range(dv))
+        T = w * np.sum(c2 * f[i]) / (dv * rho)
+        assert mom.rho[i] == pytest.approx(rho, rel=1e-14)
+        np.testing.assert_allclose(mom.u[i], u, rtol=1e-14, atol=1e-14 * np.sqrt(T))
+        assert mom.T[i] == pytest.approx(T, rel=1e-14)
+        assert not mom.degenerate[i]
+    assert mom.degenerate[2] and mom.rho[2] == 0.0
+    assert np.all(mom.u[2] == 0.0) and mom.T[2] == 1.0
 
 
 def test_heat_flux_direct_sum_oracle():
