@@ -122,12 +122,11 @@ class MomentSet:
     degenerate: np.ndarray  # bool mask of floored cells
 
 
-def maxwellian(vgrid, rho, u, T, out=None):
+def maxwellian(vgrid, rho, u, T):
     """Maxwellian slice(s) rho/(2 pi T)^(dv/2) * exp(-|v-u|^2 / (2T)).
 
     rho and T may be scalars or arrays over leading cell axes; u adds a
-    trailing component axis of length dv. Output shape is cells + counts,
-    written into ``out`` when given.
+    trailing component axis of length dv. Output shape is cells + counts.
 
     The exponential is taken per axis, exp(-|v-u|^2/2T) = prod_d
     exp(-(v_d-u_d)^2/2T), on (*cells, J_d) factors; the first factor carries
@@ -144,8 +143,7 @@ def maxwellian(vgrid, rho, u, T, out=None):
             and np.isfinite(u).all()):
         raise ValueError("Maxwellian parameters must be finite, with rho >= 0 and T > 0")
     cells = rho.shape
-    if out is None:
-        out = np.empty(cells + vgrid.counts)
+    out = np.empty(cells + vgrid.counts)
     col = cells + (1,)
     Tc = T.reshape(col)
     factors = []

@@ -12,8 +12,8 @@ closure, so a closure is not safe to share between threads. Buffers are
 keyed by name and shape, so each axis and a ragged last block get their own.
 Reusing them keeps the memory warm from one call to the next instead of
 returning it to the operating system and faulting it in again. The same dict
-keeps the per-axis layout of the grids (index tuples, block slices, |v| per
-block), built on the first call. The fluxes are subtracted from the caller's output
+keeps the per-axis layout of the grids (index tuples, block slices, the |v|
+column), built on the first call. The fluxes are subtracted from the caller's output
 array, or from a new one: Runge-Kutta stages keep earlier slopes and the
 Jacobian probe subtracts two consecutive results, so the output must never
 alias a buffer. Every operation runs in the order of the plain array formulas
@@ -166,8 +166,7 @@ def _layout(work, sg, vg, shape):
 
     One entry per transported axis: the axis order that brings it to the
     front, its spacing and boundary, the index tuples of the negative- and
-    positive-speed halves, and the blocks, each a slice tuple and |v| at
-    each of its values. It depends on nothing but the grids, so it is
+    positive-speed halves, the |v| column and the block slice tuples. It depends on nothing but the grids, so it is
     built once and kept in ``work`` under ("layout", shape); other grids
     of the same shape rebuild it.
     """
@@ -189,17 +188,9 @@ def _layout(work, sg, vg, shape):
         bax = next((i for i in range(1, ndim) if i != va), None)
         n_b = 1 if bax is None else ashape[bax]
         step = max(1, _BLOCK_POINTS * n_b // math.prod(ashape))
-        # |v| spread over a whole block: a same-shape product is a plain
-        # elementwise pass, where a broadcast one iterates line by line
-        speed = {}
-        blocks = []
-        for j in range(0, n_b, step):
-            blk = tuple(slice(j, j + step) if i == bax else slice(None) for i in range(ndim))
-            lines = tuple(min(step, n_b - j) if i == bax else ashape[i] for i in range(1, ndim))
-            if lines not in speed:
-                speed[lines] = np.broadcast_to(w, ashape[:1] + lines).copy()
-            blocks.append((blk, speed[lines]))
-        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, blocks))
+        blocks = [tuple(slice(j, j + step) if i == bax else slice(None) for i in range(ndim))
+                  for j in range(0, n_b, step)]
+        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, w, blocks))
     work[("layout", shape)] = (sg, vg, axes)
     return axes
 
@@ -226,10 +217,10 @@ def transport_rhs(field, k, work, out=None):
     f = field.values
     if out is None:
         out = np.zeros_like(f)
-    for order, h, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
+    for order, h, boundary, neg, pos, w, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
         fa, oa = f.transpose(order), out.transpose(order)
         N = fa.shape[0]
-        for blk, w in blocks:
+        for blk in blocks:
             fb, ob = fa[blk], oa[blk]
             # padded lines: the negative-speed half mirrored, then ghost cells
             P = _buf(work, "P", (N + 2 * k,) + fb.shape[1:])
@@ -243,7 +234,8 @@ def transport_rhs(field, k, work, out=None):
             np.multiply(w, flux, out=flux)
             np.divide(flux, h, out=flux)
             # back to the field's layout, then one subtraction: a ufunc over
-            # the two half views would iterate them line by line
+            # the two half views (one of them reversed) allocates buffers for
+            # them, more than a field's size on the sod_1d1d grid
             dflux = _buf(work, "dflux", fb.shape)
             dflux[neg] = flux[neg][::-1]
             dflux[pos] = flux[pos]

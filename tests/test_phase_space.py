@@ -49,17 +49,14 @@ def test_maxwellian_rejects_bad_inputs():
 
 
 def test_maxwellian_rejects_bad_cell_arrays():
-    # per-cell parameters with one bad cell, also when writing into `out`
+    # per-cell parameters with one bad cell
     g = VelocityGrid(1, 8.0, 16)
-    out = np.empty((3, 16))
     for name, value in (("rho", np.inf), ("rho", -0.1), ("u", np.nan),
                         ("T", np.nan), ("T", 0.0), ("T", -1.0)):
         params = {"rho": np.ones(3), "u": np.zeros((3, 1)), "T": np.ones(3)}
         params[name][1] = value
         with pytest.raises(ValueError):
             maxwellian(g, **params)
-        with pytest.raises(ValueError):
-            maxwellian(g, **params, out=out)
 
 
 def direct_maxwellian(g, rho, u, T):
@@ -90,12 +87,6 @@ def test_maxwellian_matches_direct_formula(dv, counts):
     peak = ref.max(axis=vel)
     assert np.all(np.abs(got - ref).max(axis=vel) <= 1e-14 * peak)
     assert np.all(got[1, 0] == 0.0)
-    # `out` is written in full and returned, also when it held other values
-    out = np.full_like(ref, np.nan)
-    assert maxwellian(g, rho, u, T, out=out) is out
-    assert np.array_equal(out, got)
-    maxwellian(g, rho[::-1], u[::-1], T[::-1], out=out)
-    assert np.array_equal(out, maxwellian(g, rho[::-1], u[::-1], T[::-1]))
 
 
 def test_maxwellian_zero_density_is_zero_slice():
