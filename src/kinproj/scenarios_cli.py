@@ -21,7 +21,7 @@ import numpy as np
 
 from .collision_bgk import BgkConfig
 from .collision_boltzmann import SpectralPlan
-from .errors import ConfigurationError, StepRejectionError
+from .errors import ConfigurationError, DiagnosticError, StepRejectionError
 from .integrators import (
     CLASSIC_RK4,
     FORWARD_EULER,
@@ -504,24 +504,26 @@ def _cmd_plan(args):
 
 
 def _cmd_spectrum(args):
-    if args.nu == "1":
-        vgrid = VelocityGrid(2, 8.0, (16, 16))
-        report = spectrum(build_linearized_bgk(vgrid, args.epsilon))
+    run, out = _resolved_from_args(args)
+    f = initial_field(run)
+    mom = moments(run.vgrid, f)
+    # the densest, most rarefied, hottest and coldest cells, each once
+    cells = list(dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
+                               for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin)))
+    if run.collision_name == "bgk":  # nu = 1: the band {0, -1/epsilon} is exact in every cell
+        reports = [spectrum(build_linearized_bgk(run.vgrid, run.epsilon))] * len(cells)
     else:
-        vgrid = VelocityGrid(1, 8.0, (16,))
-        sgrid = SpatialGrid(0.0, 1.0, (2,), "periodic")
-        f = maxwellian(vgrid, np.array([0.125, 1.0]), np.zeros((2, 1)), np.ones(2))
-        rhs = make_rhs(sgrid, vgrid, None, BgkConfig("proportional", args.epsilon))
-        report = spectrum(jacobian_probe(rhs, f))
-    fast = np.abs(report.fast)
-    print(f"eigenvalues {report.eigenvalues.size} "
-          f"({report.slow.size} slow, {report.fast.size} fast)")
-    print(f"gap ratio   {report.gap_ratio:.6g}")
-    if report.fast.size:
-        print(f"fast |band| [{fast.min():.6g}, {fast.max():.6g}]")
-    if args.out:
-        write_spectrum_csv(args.out, report)
-        print(f"wrote {args.out}")
+        rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
+        reports = [spectrum(jacobian_probe(rhs, f[cell][None])) for cell in cells]
+    for cell, report in zip(cells, reports):
+        lam = report.eigenvalues * run.epsilon
+        print(f"cell {cell}: rho {mom.rho[cell]:.6g}, T {mom.T[cell]:.6g}\n"
+              f"  eigenvalues {lam.size} ({report.slow.size} slow, {report.fast.size} fast), "
+              f"gap ratio {report.gap_ratio:.6g}\n  Re(lambda*eps) in [{lam.real.min():.6g}, "
+              f"{lam.real.max():.6g}], max |Im(lambda*eps)| {np.abs(lam.imag).max():.6g}")
+        if out:
+            Path(out).mkdir(parents=True, exist_ok=True)
+            write_spectrum_csv(Path(out) / f"spectrum_{'_'.join(map(str, cell))}.csv", report)
     return 0
 
 
@@ -537,10 +539,8 @@ def build_parser():
     p_plan = sub.add_parser("plan", help="print the resolved plan without running")
     _add_run_options(p_plan, out=False)
     p_plan.set_defaults(func=_cmd_plan)
-    p_spec = sub.add_parser("spectrum", help="dump linearized-operator eigenvalues")
-    p_spec.add_argument("--nu", choices=("1", "rho"), default="1")
-    p_spec.add_argument("--epsilon", type=float, default=1e-3)
-    p_spec.add_argument("--out", help="CSV file for (re, im) pairs")
+    p_spec = sub.add_parser("spectrum", help="probe the run's collision spectrum at sampled cells")
+    _add_run_options(p_spec)
     p_spec.set_defaults(func=_cmd_spectrum)
     return parser
 
@@ -549,7 +549,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigurationError as exc:  # includes infeasible plans
+    except (ConfigurationError, DiagnosticError) as exc:  # includes infeasible plans
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StepRejectionError as exc:

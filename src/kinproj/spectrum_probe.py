@@ -1,9 +1,9 @@
 """Spectral diagnostics for linearized collision and transport operators.
 
-Builds dense linearizations on small phase-space grids, takes their
-spectra, and reports the fast/slow eigenvalue clusters and the gap between
-them. The planner does not read these yet; planning from the spectrum is
-ROADMAP.md item 3.
+Builds dense linearizations of a right-hand side at one state (`kinproj
+spectrum` probes one cell's collision term on a run's velocity grid), takes
+their spectra, and reports the fast/slow eigenvalue clusters and the gap
+between them. The planner does not read these yet (ROADMAP.md item 3).
 """
 
 import numpy as np

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import FORWARD_EULER, make_rhs, rk_step
 from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian, moments
 from kinproj.scenarios_cli import (
+    _RUN_OPTIONS,
+    build_parser,
     catalogue,
     get_scenario,
     initial_field,
@@ -370,16 +373,55 @@ def test_plan_predicts_the_run(tmp_path, capsys, argv, counts):
     assert {key: manifest[key] for key in planned} == planned
 
 
+def _spectrum_bands(text):
+    """cell -> (slow, fast, min Re lambda*eps, max Re lambda*eps) from `spectrum` output."""
+    rows = re.findall(r"cell (\(.*?\)): .*\n  eigenvalues \d+ \((\d+) slow, (\d+) fast\).*\n"
+                      r"  Re\(lambda\*eps\) in \[(\S+), (\S+)\]", text)
+    return {c: (int(s), int(f), float(lo), float(hi)) for c, s, f, lo, hi in rows}
+
+
 def test_spectrum_command(tmp_path, capsys):
-    csv = tmp_path / "eig.csv"
-    assert main(["spectrum", "--nu", "1", "--epsilon", "1e-3",
-                 "--out", str(csv)]) == 0
-    out = capsys.readouterr().out
-    assert "(4 slow, 252 fast)" in out
-    assert len(csv.read_text().splitlines()) == 1 + 256
-    assert main(["spectrum", "--nu", "rho", "--epsilon", "1e-3"]) == 0
-    out = capsys.readouterr().out
-    assert "fast |band| [125," in out
+    # nu = 1 on the sod_1d2v desk velocity grid (2V, 16 x 16, half-width 8)
+    out = tmp_path / "eig"
+    assert main(["spectrum", "--scenario", "sod_1d2v", "--preset", "desk",
+                 "--collision", "bgk", "--epsilon", "1e-3", "--out", str(out)]) == 0
+    bands = _spectrum_bands(capsys.readouterr().out)
+    assert list(bands) == ["(0,)", "(50,)"]
+    assert all(b[:2] == (4, 252) for b in bands.values())
+    csvs = sorted(out.glob("spectrum_*.csv"))
+    assert [p.name for p in csvs] == ["spectrum_0.csv", "spectrum_50.csv"]
+    assert all(len(p.read_text().splitlines()) == 1 + 256 for p in csvs)
+    # nu = rho: the band is -rho/epsilon, rho = 1 and 0.125 in the Sod states
+    assert main(["spectrum", "--scenario", "sod_1d1d", "--collision", "bgk-rho"]) == 0
+    bands = _spectrum_bands(capsys.readouterr().out)
+    assert bands["(0,)"][2] == pytest.approx(-1.0, rel=1e-6)
+    assert bands["(50,)"][2] == pytest.approx(-0.125, rel=1e-6)
+    # the spectral Boltzmann term: a band to 0 with no gap, scaling with rho
+    args = ["spectrum", "--scenario", "double_sod_2d", "--preset", "desk"]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    bands = _spectrum_bands(text)
+    assert bands["(0, 0)"][2] == pytest.approx(-0.978343, rel=1e-6)
+    assert bands["(0, 0)"][3] == pytest.approx(2.44e-6, rel=1e-2)
+    assert bands["(0, 16)"][2] == pytest.approx(-0.0978343, rel=1e-6)
+    assert bands["(0, 16)"][3] == pytest.approx(2.44e-7, rel=1e-2)
+    # the same command prints the same text
+    assert main(args) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_spectrum_gram_failure_exits_2_before_writing(tmp_path, capsys):
+    out = tmp_path / "eig"
+    assert main(["spectrum", "--scenario", "sod_1d1d", "--nv", "8", "--out", str(out)]) == 2
+    assert "Gram deviation 0.431 > 0.01" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subcommands_share_the_run_options():
+    dests = {opt.get("dest", key) for key, opt in _RUN_OPTIONS.items()} | {"config"}
+    for command, expect in (("run", dests), ("plan", dests - {"out"}), ("spectrum", dests)):
+        ns = build_parser().parse_args([command, "--scenario", "sod_1d1d"])
+        assert set(vars(ns)) - {"command", "func"} == expect
 
 
 def test_periodic_mass_conservation():
