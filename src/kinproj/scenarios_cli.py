@@ -40,7 +40,7 @@ from .phase_space import (
     moments,
 )
 from .planner import adapt_M, plan_levels, speedup
-from .spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum, write_spectrum_csv
+from .spectrum_probe import jacobian_probe, spectrum, write_spectrum_csv
 
 INTEGRATORS = ("fe", "rk4", "pfe", "prk4", "tpfe", "tprk4")
 COLLISIONS = ("bgk", "bgk-rho", "boltzmann")
@@ -199,7 +199,7 @@ class ResolvedRun:
 def resolve_run(name, preset="paper", integrator=None, collision=None,
                 epsilon=None, weno_k=None, levels=None, K=None, h0=None,
                 cfl=None, M=None, t_end=None, snapshots=None, nx=None,
-                nv=None, half_width=None, n_theta=None):
+                nv=None, half_width=None):
     """Merge CLI/config overrides onto a scenario and build the run pieces."""
     scen = get_scenario(name)
     if preset not in PRESETS:
@@ -223,13 +223,17 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
             raise ConfigurationError(
                 "the spectral collision operator needs a square 2D velocity grid"
             )
-        coll = (SpectralPlan(vcounts[0], vgrid.half_width, 4 if n_theta is None else n_theta), epsilon)
+        coll = (SpectralPlan(vcounts[0], vgrid.half_width, n_theta=4), epsilon)
     else:
         raise ConfigurationError(f"collision must be one of {COLLISIONS}, got {collision_name!r}")
 
     integ = (integrator or scen.integrator).lower()
     if integ not in INTEGRATORS:
         raise ConfigurationError(f"integrator must be one of {INTEGRATORS}, got {integ!r}")
+    fixed = {"fe": 0, "rk4": 0, "pfe": 1, "prk4": 1}.get(integ)
+    if len({n for n in (fixed, levels, None if M is None else len(M)) if n is not None}) > 1:
+        raise ConfigurationError(
+            f"integrator {integ}, levels {levels} and M {M} disagree on the level count")
     t_end = scen.t_end if t_end is None else float(t_end)
     if not 0 <= t_end < math.inf:
         raise ConfigurationError(f"end time must be non-negative and finite, got {t_end}")
@@ -433,7 +437,6 @@ _RUN_OPTIONS = {
     "nx": {"type": _ints, "help": "spatial cells per axis"},
     "nv": {"type": _ints, "help": "velocity nodes per axis"},
     "half_width": {"type": float},
-    "n_theta": {"type": int},
     "out": {"help": "output directory"},
 }
 
@@ -510,11 +513,8 @@ def _cmd_spectrum(args):
     # the densest, most rarefied, hottest and coldest cells, each once
     cells = list(dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
                                for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin)))
-    if run.collision_name == "bgk":  # nu = 1: the band {0, -1/epsilon} is exact in every cell
-        reports = [spectrum(build_linearized_bgk(run.vgrid, run.epsilon))] * len(cells)
-    else:
-        rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
-        reports = [spectrum(jacobian_probe(rhs, f[cell][None])) for cell in cells]
+    rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
+    reports = [spectrum(jacobian_probe(rhs, f[cell][None])) for cell in cells]
     for cell, report in zip(cells, reports):
         lam = report.eigenvalues * run.epsilon
         print(f"cell {cell}: rho {mom.rho[cell]:.6g}, T {mom.T[cell]:.6g}\n"

@@ -1,9 +1,10 @@
 """Spectral diagnostics for linearized collision and transport operators.
 
-Builds dense linearizations of a right-hand side at one state (`kinproj
-spectrum` probes one cell's collision term on a run's velocity grid), takes
-their spectra, and reports the fast/slow eigenvalue clusters and the gap
-between them. The planner does not read these yet (ROADMAP.md item 3).
+Builds the dense central-difference Jacobian of a right-hand side at one
+state, takes its spectrum, and reports the fast/slow eigenvalue clusters and
+the gap between them. `kinproj spectrum` applies this one probe to one
+cell's collision term on a run's velocity grid, for every collision model.
+The planner does not read these yet (ROADMAP.md item 3).
 """
 
 import numpy as np
@@ -13,63 +14,10 @@ from .errors import ConfigurationError, DiagnosticError
 # Dense-eigensolve ceiling; the probe is a diagnostic, not a production path.
 MAX_DENSE_DIMENSION = 4096
 
-# Orthonormality tolerance for the collision-invariant basis under the grid
-# quadrature; beyond this the projector is too distorted to diagnose with.
-GRAM_TOLERANCE = 0.01
-
 # Magnitudes below this fraction of the spectral radius count as one class
 # when locating the cluster gap: conserved modes sit at exact zero next to
 # small diffusive modes, and that boundary would otherwise always win.
 SPLIT_FLOOR = 1e-4
-
-
-def collision_invariant_basis(vgrid):
-    """Orthonormalized collision invariants and their weighted quadrature.
-
-    Returns (psi, weight): psi has one row per basis function {1, v_d,
-    (|v|^2 - dv)/sqrt(2 dv)} sampled on the flat nodes, and weight is the
-    Gaussian-weighted midpoint quadrature so that <a, b> = sum(a * weight * b).
-    """
-    dv = vgrid.dv
-    psi = np.empty((dv + 2, vgrid.n_nodes))
-    psi[0] = 1.0
-    for d in range(dv):
-        psi[1 + d] = vgrid.nodes[:, d]
-    psi[dv + 1] = (vgrid.speed2 - dv) / np.sqrt(2.0 * dv)
-    weight = (
-        (2.0 * np.pi) ** (-0.5 * dv) * np.exp(-0.5 * vgrid.speed2) * vgrid.weight
-    )
-    return psi, weight
-
-
-def gram_deviation(vgrid):
-    """Max absolute entry of (Gram matrix - identity) for the invariant basis."""
-    psi, weight = collision_invariant_basis(vgrid)
-    gram = (psi * weight) @ psi.T
-    return float(np.max(np.abs(gram - np.eye(psi.shape[0]))))
-
-
-def build_linearized_bgk(vgrid, epsilon):
-    """Linearized BGK relaxation -(1/eps)(I - Pi) on one velocity grid.
-
-    Pi is the orthogonal projection onto the collision invariants under the
-    standard-normal-weighted inner product, discretized by the grid quadrature.
-    """
-    if not 0 < epsilon < np.inf:
-        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon!r}")
-    n = vgrid.n_nodes
-    if n > MAX_DENSE_DIMENSION:
-        raise ConfigurationError(
-            f"grid has {n} nodes, above the dense-probe limit {MAX_DENSE_DIMENSION}"
-        )
-    dev = gram_deviation(vgrid)
-    if dev > GRAM_TOLERANCE:
-        raise DiagnosticError(
-            f"collision invariants lose orthonormality on this grid "
-            f"(Gram deviation {dev:.3g} > {GRAM_TOLERANCE})"
-        )
-    psi, weight = collision_invariant_basis(vgrid)
-    return -(1.0 / epsilon) * (np.eye(n) - psi.T @ (psi * weight))
 
 
 def jacobian_probe(rhs, state, eta=None):

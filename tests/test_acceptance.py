@@ -17,6 +17,7 @@ import pytest
 
 from conftest import ACCEPTANCE
 from test_collision_boltzmann import direct_q
+from test_spectrum_probe import build_linearized_bgk
 from kinproj.collision_bgk import BgkConfig, bgk_rhs
 from kinproj.errors import DiagnosticError, StepRejectionError
 from kinproj.collision_boltzmann import DEFAULT_B0, SpectralPlan, boltzmann_q
@@ -38,7 +39,7 @@ from kinproj.phase_space import (
 )
 from kinproj.planner import plan_levels, speedup
 from kinproj.scenarios_cli import initial_field, resolve_run, run_simulation
-from kinproj.spectrum_probe import build_linearized_bgk, jacobian_probe, spectrum
+from kinproj.spectrum_probe import jacobian_probe, spectrum
 from kinproj.transport_weno import transport_rhs
 
 

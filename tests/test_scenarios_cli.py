@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 
@@ -387,7 +388,11 @@ def test_spectrum_command(tmp_path, capsys):
                  "--collision", "bgk", "--epsilon", "1e-3", "--out", str(out)]) == 0
     bands = _spectrum_bands(capsys.readouterr().out)
     assert list(bands) == ["(0,)", "(50,)"]
-    assert all(b[:2] == (4, 252) for b in bands.values())
+    assert bands["(0,)"][:2] == (4, 252)
+    # the cold cell (rho 0.121, T 0.286) is far from the standard Maxwellian;
+    # its nu = 1 term has one slow mode and a growing one
+    assert bands["(50,)"][:2] == (1, 255)
+    assert bands["(50,)"][3] == pytest.approx(0.0651393, rel=1e-3)
     csvs = sorted(out.glob("spectrum_*.csv"))
     assert [p.name for p in csvs] == ["spectrum_0.csv", "spectrum_50.csv"]
     assert all(len(p.read_text().splitlines()) == 1 + 256 for p in csvs)
@@ -410,10 +415,26 @@ def test_spectrum_command(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
-def test_spectrum_gram_failure_exits_2_before_writing(tmp_path, capsys):
+def test_spectrum_probes_coarse_velocity_grids(tmp_path, capsys):
+    # J = 8 in 1D: the probe works on any grid that run accepts
     out = tmp_path / "eig"
-    assert main(["spectrum", "--scenario", "sod_1d1d", "--nv", "8", "--out", str(out)]) == 2
-    assert "Gram deviation 0.431 > 0.01" in capsys.readouterr().err
+    assert main(["spectrum", "--scenario", "sod_1d1d", "--nv", "8", "--out", str(out)]) == 0
+    bands = _spectrum_bands(capsys.readouterr().out)
+    assert bands["(0,)"][3] == pytest.approx(0.0727194, rel=1e-3)
+    assert bands["(50,)"][3] == pytest.approx(0.127578, rel=1e-3)
+    csvs = sorted(out.glob("spectrum_*.csv"))
+    assert [p.name for p in csvs] == ["spectrum_0.csv", "spectrum_50.csv"]
+    assert all(len(p.read_text().splitlines()) == 1 + 8 for p in csvs)
+
+
+def test_spectrum_non_finite_probe_exits_2_before_writing(tmp_path, capsys):
+    # 1/epsilon overflows in the collision term
+    out = tmp_path / "eig"
+    with np.errstate(over="ignore"):
+        code = main(["spectrum", "--scenario", "sod_1d1d", "--epsilon", "1e-308",
+                     "--out", str(out)])
+    assert code == 2
+    assert "non-finite probe response" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -422,6 +443,23 @@ def test_subcommands_share_the_run_options():
     for command, expect in (("run", dests), ("plan", dests - {"out"}), ("spectrum", dests)):
         ns = build_parser().parse_args([command, "--scenario", "sod_1d1d"])
         assert set(vars(ns)) - {"command", "func"} == expect
+
+
+def test_resolve_run_takes_exactly_the_run_options():
+    params = list(inspect.signature(resolve_run).parameters)[1:]
+    dests = {opt.get("dest", key) for key, opt in _RUN_OPTIONS.items()}
+    assert set(params) == dests - {"scenario", "out"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--integrator", "prk4", "--levels", "3"],
+    ["--integrator", "pfe", "--M", "10,10"],
+    ["--integrator", "rk4", "--M", "5"],
+    ["--integrator", "tprk4", "--levels", "3", "--M", "1,2"],
+])
+def test_contradictory_level_counts_exit_2(argv, capsys):
+    assert main(["plan", "--scenario", "sod_1d1d"] + argv) == 2
+    assert "disagree on the level count" in capsys.readouterr().err
 
 
 def test_periodic_mass_conservation():

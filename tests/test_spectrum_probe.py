@@ -5,15 +5,65 @@ from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError, DiagnosticError
 from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
-from kinproj.spectrum_probe import (
-    build_linearized_bgk,
-    collision_invariant_basis,
-    gram_deviation,
-    jacobian_probe,
-    spectrum,
-    write_spectrum_csv,
-)
+from kinproj.spectrum_probe import MAX_DENSE_DIMENSION, jacobian_probe, spectrum, write_spectrum_csv
 from kinproj.transport_weno import transport_rhs
+
+# The analytic linearization of the nu = 1 BGK term at the standard
+# Maxwellian: the reference the probe is checked against, here and in the
+# acceptance tests.
+
+# Orthonormality tolerance for the collision-invariant basis under the grid
+# quadrature; beyond this the projector is too distorted to diagnose with.
+GRAM_TOLERANCE = 0.01
+
+
+def collision_invariant_basis(vgrid):
+    """Orthonormalized collision invariants and their weighted quadrature.
+
+    Returns (psi, weight): psi has one row per basis function {1, v_d,
+    (|v|^2 - dv)/sqrt(2 dv)} sampled on the flat nodes, and weight is the
+    Gaussian-weighted midpoint quadrature so that <a, b> = sum(a * weight * b).
+    """
+    dv = vgrid.dv
+    psi = np.empty((dv + 2, vgrid.n_nodes))
+    psi[0] = 1.0
+    for d in range(dv):
+        psi[1 + d] = vgrid.nodes[:, d]
+    psi[dv + 1] = (vgrid.speed2 - dv) / np.sqrt(2.0 * dv)
+    weight = (
+        (2.0 * np.pi) ** (-0.5 * dv) * np.exp(-0.5 * vgrid.speed2) * vgrid.weight
+    )
+    return psi, weight
+
+
+def gram_deviation(vgrid):
+    """Max absolute entry of (Gram matrix - identity) for the invariant basis."""
+    psi, weight = collision_invariant_basis(vgrid)
+    gram = (psi * weight) @ psi.T
+    return float(np.max(np.abs(gram - np.eye(psi.shape[0]))))
+
+
+def build_linearized_bgk(vgrid, epsilon):
+    """Linearized BGK relaxation -(1/eps)(I - Pi) on one velocity grid.
+
+    Pi is the orthogonal projection onto the collision invariants under the
+    standard-normal-weighted inner product, discretized by the grid quadrature.
+    """
+    if not 0 < epsilon < np.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon!r}")
+    n = vgrid.n_nodes
+    if n > MAX_DENSE_DIMENSION:
+        raise ConfigurationError(
+            f"grid has {n} nodes, above the dense-probe limit {MAX_DENSE_DIMENSION}"
+        )
+    dev = gram_deviation(vgrid)
+    if dev > GRAM_TOLERANCE:
+        raise DiagnosticError(
+            f"collision invariants lose orthonormality on this grid "
+            f"(Gram deviation {dev:.3g} > {GRAM_TOLERANCE})"
+        )
+    psi, weight = collision_invariant_basis(vgrid)
+    return -(1.0 / epsilon) * (np.eye(n) - psi.T @ (psi * weight))
 
 
 def check_linearity(op, dimension, rtol=1e-8, seed=0, trials=3):
