@@ -286,4 +286,7 @@ def boltzmann_rhs(field, plan, epsilon):
         raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
     f = field.values
     eq = local_maxwellian(vg, moments(vg, f))
-    return (plan.scale / epsilon) * (_q(plan, f) - _q(plan, eq))
+    out = _q(plan, f)  # (scale/epsilon) * (Q_N(f) - Q_N(eq)) in Q_N(f)'s memory
+    out -= _q(plan, eq)
+    out *= plan.scale / epsilon
+    return out

@@ -17,6 +17,13 @@ from .errors import ConfigurationError, StepRejectionError
 RHO_FLOOR = 1e-14
 
 
+def empty_aligned(shape):
+    """A new float64 array of this shape tuple on a 64-byte boundary (see
+    transport_weno): a view into a larger np.empty, as in pyfftw."""
+    raw = np.empty(8 * math.prod(shape) + 64, dtype=np.uint8)
+    return raw[-raw.ctypes.data % 64 :][: raw.size - 64].view(np.float64).reshape(shape)
+
+
 def _as_counts(counts, dims):
     if np.isscalar(counts):
         counts = (counts,) * dims

@@ -12,17 +12,27 @@ closure, so a closure is not safe to share between threads. Buffers are
 keyed by name and shape, so each axis and a ragged last block get their own.
 Reusing them keeps the memory warm from one call to the next instead of
 returning it to the operating system and faulting it in again. The same dict
-keeps the per-axis layout of the grids (index tuples, block slices, the |v|
-column), built on the first call. The fluxes are subtracted from the caller's output
-array, or from a new one: Runge-Kutta stages keep earlier slopes and the
-Jacobian probe subtracts two consecutive results, so the output must never
-alias a buffer. Every operation runs in the order of the plain array formulas
-in the comments, so the result is the same bit for bit.
+keeps the per-axis layout of the grids (index tuples, block slices, |v| at
+each block's shape), built on the first call. The fluxes are subtracted from
+the caller's output array, or from a new one: Runge-Kutta stages keep earlier
+slopes and the Jacobian probe subtracts two consecutive results, so the
+output must never alias a buffer. Every operation runs in the order of the
+plain array formulas in the comments, so the result is the same bit for bit.
+
+The buffers and |v| arrays start on a 64-byte boundary (`empty_aligned`).
+numpy starts arrays of 8,192 values and more 16 or 48 bytes past one, and
+there a subtract or multiply into a third array took 5.1-5.3 against 3.0 us
+for 8,192 values, and 15.5-16.3 against 6.8 us for 25,600 (AVX-512 Xeon,
+numpy 2.4); in-place ops and divides lose little. The right-hand sides stay
+plain arrays: 64 bytes larger than the stepping's own arrays of that size,
+they fragmented the heap and added 5 MiB to the peak memory of some runs.
 """
 
 import math
 
 import numpy as np
+
+from .phase_space import empty_aligned
 
 # ideal (smooth-data) stencil weights d_l; stencil l reaches l cells left of center
 IDEAL_WEIGHTS = {
@@ -37,7 +47,9 @@ DELTA = 1e-6
 
 _K1312 = 13.0 / 12.0
 
-# values per block of transport lines (see transport_rhs)
+# values per block of transport lines (see transport_rhs). With aligned buffers,
+# 4,096 / 16,384 beat 8,192 in 1-3 / 7 of 10 alternating pairs of calls on the
+# bubble2d_bgk grid and in 3-4 / 1-4 on the dsod2d_spectral grid: 8,192 stays.
 _BLOCK_POINTS = 8192
 
 
@@ -45,7 +57,7 @@ def _buf(work, name, shape):
     """The work array `name` of this shape, allocated on first use."""
     arr = work.get((name, shape))
     if arr is None:
-        arr = work[(name, shape)] = np.empty(shape)
+        arr = work[(name, shape)] = empty_aligned(shape)
     return arr
 
 
@@ -132,13 +144,12 @@ def _reconstruct_left(k, P, n, work):
     d = IDEAL_WEIGHTS[k]
     betas = _betas(k, P, n, work)
     shape = betas[0].shape
-    alphas = []
-    for l in range(k):  # d_l / (DELTA + beta_l)^2
-        a = _buf(work, f"a{l}", shape)
-        np.add(DELTA, betas[l], out=a)
-        np.square(a, out=a)
-        np.divide(d[l], a, out=a)
-        alphas.append(a)
+    # (DELTA + beta_l)^2 in the betas' memory, then d_l / (DELTA + beta_l)^2;
+    # the WENO3 betas are row shifts of the n + 1 rows of "sq", squared once
+    for b in (_buf(work, "sq", (n + 1,) + shape[1:]),) if k == 2 else betas:
+        np.add(DELTA, b, out=b)
+        np.square(b, out=b)
+    alphas = [np.divide(d[l], b, out=_buf(work, f"a{l}", shape)) for l, b in enumerate(betas)]
     total = alphas[0]
     for a in alphas[1:]:
         total = np.add(total, a, out=_buf(work, "total", shape))
@@ -166,9 +177,11 @@ def _layout(work, sg, vg, shape):
 
     One entry per transported axis: the axis order that brings it to the
     front, its spacing and boundary, the index tuples of the negative- and
-    positive-speed halves, the |v| column and the block slice tuples. It depends on nothing but the grids, so it is
-    built once and kept in ``work`` under ("layout", shape); other grids
-    of the same shape rebuild it.
+    positive-speed halves, and each block's slice tuple with |v| at the
+    block's full shape (one aligned array per distinct shape, so that
+    scaling the fluxes is no broadcast). It depends on nothing but the grids,
+    so it is built once and kept in ``work`` under ("layout", shape); other
+    grids of the same shape rebuild it.
     """
     lay = work.get(("layout", shape))
     if lay is not None and lay[0] is sg and lay[1] is vg:
@@ -183,14 +196,19 @@ def _layout(work, sg, vg, shape):
         n_neg = int(np.searchsorted(speeds, 0.0))
         neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(ndim))
         pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(ndim))
-        w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(ndim)])
+        v = speeds.reshape([-1 if i == va else 1 for i in range(ndim)])
         # blocks cut a transverse axis other than va (none in 1D/1V: one block)
         bax = next((i for i in range(1, ndim) if i != va), None)
         n_b = 1 if bax is None else ashape[bax]
         step = max(1, _BLOCK_POINTS * n_b // math.prod(ashape))
-        blocks = [tuple(slice(j, j + step) if i == bax else slice(None) for i in range(ndim))
-                  for j in range(0, n_b, step)]
-        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, w, blocks))
+        blocks, full = [], {}
+        for j in range(0, n_b, step):
+            bshape = tuple(min(step, n_b - j) if i == bax else s for i, s in enumerate(ashape))
+            if bshape not in full:
+                full[bshape] = np.abs(v, out=empty_aligned(bshape))
+            blocks.append((tuple(slice(j, j + step) if i == bax else slice(None)
+                                 for i in range(ndim)), full[bshape]))
+        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, blocks))
     work[("layout", shape)] = (sg, vg, axes)
     return axes
 
@@ -216,11 +234,12 @@ def transport_rhs(field, k, work, out=None):
     """
     f = field.values
     if out is None:
-        out = np.zeros_like(f)
-    for order, h, boundary, neg, pos, w, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
+        out = empty_aligned(f.shape)
+        out.fill(0.0)
+    for order, h, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
         fa, oa = f.transpose(order), out.transpose(order)
         N = fa.shape[0]
-        for blk in blocks:
+        for blk, w in blocks:
             fb, ob = fa[blk], oa[blk]
             # padded lines: the negative-speed half mirrored, then ghost cells
             P = _buf(work, "P", (N + 2 * k,) + fb.shape[1:])

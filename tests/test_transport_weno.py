@@ -4,7 +4,8 @@ import pytest
 from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError
 from kinproj.integrators import make_rhs
-from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
+from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, empty_aligned
+from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.transport_weno import (
     _K1312,
     DELTA,
@@ -135,6 +136,38 @@ def test_reused_work_matches_fresh(k):
         assert_bitwise(second, transport_rhs(g, k, {}))
         assert second is not first
         assert_bitwise(first, kept)
+
+
+def test_empty_aligned_shapes():
+    for shape in ((), (0,), (3, 0, 2), (1,), (7, 5)):
+        a = empty_aligned(shape)
+        assert a.shape == shape and a.dtype == np.float64
+        assert a.ctypes.data % 64 == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_work_arrays_are_aligned(k):
+    work = {}
+    out = transport_rhs(reference_field(REFERENCE_GRIDS[-1], 3), k, work)
+    arrays = [out]
+    for key, v in work.items():
+        if key[0] == "layout":  # (sgrid, vgrid, axes): every block's |v|
+            arrays += [w for *_, blocks in v[2] for _, w in blocks]
+        else:
+            arrays.append(v)
+    assert len(arrays) > 10
+    assert all(a.ctypes.data % 64 == 0 for a in arrays)
+
+
+@pytest.mark.parametrize("scenario,collision", [("sod_1d2v", "bgk"), ("double_sod_2d", "boltzmann")])
+def test_rhs_does_not_depend_on_input_alignment(scenario, collision):
+    run = resolve_run(scenario, "desk", collision=collision)
+    f = initial_field(run)
+    f *= np.random.default_rng(4).uniform(0.9, 1.1, f.shape)  # not at equilibrium
+    skewed = np.empty(f.size + 1)[1:].reshape(f.shape)  # 8 bytes off f's alignment
+    skewed[...] = f
+    assert skewed.ctypes.data % 64 != f.ctypes.data % 64
+    assert_bitwise(run.rhs(skewed), run.rhs(f))
 
 
 def sine_field(N, k, nv=2):
