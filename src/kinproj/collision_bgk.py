@@ -5,15 +5,12 @@ evaluation; no conservation-enforcing correction is applied. The collision
 frequency nu is 1, or the local density.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .phase_space import local_maxwellian, moments
-
-log = logging.getLogger(__name__)
 
 FREQUENCY_MODES = ("constant", "proportional")
 
@@ -43,8 +40,6 @@ def bgk_rhs(field, cfg):
         out *= 1.0 / cfg.epsilon
     else:
         out *= mom.rho.reshape(mom.rho.shape + (1,) * vg.dv) / cfg.epsilon
-    n_deg = int(np.count_nonzero(mom.degenerate))
-    if n_deg:
+    if mom.degenerate.any():
         out[mom.degenerate] = 0.0
-        log.debug("bgk_rhs: %d vacuum cell(s) skipped", n_deg)
     return out

@@ -282,8 +282,8 @@ def boltzmann_rhs(field, plan, epsilon):
         raise ConfigurationError(
             f"velocity half-width {vg.half_width} does not match plan {plan.half_width}"
         )
-    if not epsilon > 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < np.inf:
+        raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     f = field.values
     eq = local_maxwellian(vg, moments(vg, f))
     out = _q(plan, f)  # (scale/epsilon) * (Q_N(f) - Q_N(eq)) in Q_N(f)'s memory

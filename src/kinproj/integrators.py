@@ -14,7 +14,7 @@ from .collision_bgk import BgkConfig, bgk_rhs
 from .collision_boltzmann import boltzmann_rhs
 from .errors import ConfigurationError, StepRejectionError
 from .phase_space import DistributionField
-from .transport_weno import IDEAL_WEIGHTS, transport_rhs
+from .transport_weno import check_stencil, transport_rhs
 
 
 class RKTableau:
@@ -221,20 +221,14 @@ def rhs_total(field, weno_k, collision, work):
 
 def make_rhs(sgrid, vgrid, weno_k, collision):
     """Bind grids and operators into an array -> array RHS (see rhs_total),
-    checking once that the transport stencil fits the grids.
+    checking once that the transport stencil fits the grids (check_stencil).
 
     The closure owns the transport work buffers and the grid layout and
     reuses them on every call, so use one closure per thread; each call
     returns a new array.
     """
     if weno_k is not None:
-        if weno_k not in IDEAL_WEIGHTS:
-            raise ConfigurationError(f"unsupported reconstruction order k={weno_k}")
-        if vgrid.dv < sgrid.dx_dims:
-            raise ConfigurationError("velocity dimension must cover every transported axis")
-        for a, n in enumerate(sgrid.counts):
-            if n < 2 * weno_k - 1:
-                raise ConfigurationError(f"axis {a}: {n} cells < stencil width {2 * weno_k - 1}")
+        check_stencil(sgrid, vgrid, weno_k)
     work = {}
 
     def rhs(values):

@@ -12,16 +12,9 @@ import numpy as np
 
 from .errors import ConfigurationError, StepRejectionError
 
-# Density floor below which a cell is treated as vacuum: moments fall back to
-# (u, T) = (0, 1) and the cell is flagged so collision terms can skip it.
+# Density magnitude up to which a cell is treated as vacuum: moments fall back
+# to (u, T) = (0, 1) and the cell is flagged so collision terms can skip it.
 RHO_FLOOR = 1e-14
-
-
-def empty_aligned(shape):
-    """A new float64 array of this shape tuple on a 64-byte boundary (see
-    transport_weno): a view into a larger np.empty, as in pyfftw."""
-    raw = np.empty(8 * math.prod(shape) + 64, dtype=np.uint8)
-    return raw[-raw.ctypes.data % 64 :][: raw.size - 64].view(np.float64).reshape(shape)
 
 
 def _as_counts(counts, dims):
@@ -172,30 +165,28 @@ def maxwellian(vgrid, rho, u, T):
     return out
 
 
-def check_temperature(mom):
+def check_state(mom):
     """Reject a non-physical state.
 
-    A non-vacuum cell whose temperature is not positive (or not finite) is
-    one: StepRejectionError names the first such cell by its spatial index
-    tuple.
+    A non-vacuum cell whose temperature or density is not positive (or not
+    finite) is one: StepRejectionError names the first such cell by its
+    spatial index tuple, temperature first.
     """
-    positive = mom.T > 0
-    if positive.all():
+    if ((mom.rho > 0) & (mom.T > 0)).all():
         return
-    bad = ~mom.degenerate & ~positive
-    if bad.any():
-        idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-        raise StepRejectionError(
-            f"non-positive temperature in cell {idx}", index=idx
-        )
+    for name, q in (("temperature", mom.T), ("density", mom.rho)):
+        bad = ~mom.degenerate & ~(q > 0)
+        if bad.any():
+            idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+            raise StepRejectionError(f"non-positive {name} in cell {idx}", index=idx)
 
 
 def local_maxwellian(vgrid, mom):
     """Maxwellian rebuilt from discrete moments; vacuum cells get a zero slice.
 
-    Rejects a non-physical state first (see check_temperature).
+    Rejects a non-physical state first (see check_state).
     """
-    check_temperature(mom)
+    check_state(mom)
     rho = np.where(mom.degenerate, 0.0, mom.rho)
     return maxwellian(vgrid, rho, mom.u, mom.T)
 
@@ -204,8 +195,8 @@ def moments(vgrid, values):
     """Midpoint-quadrature (rho, u, T) of distribution values.
 
     Leading axes of ``values`` are cells; the trailing dv axes must match
-    vgrid.counts. Cells with rho <= RHO_FLOOR get (u, T) = (0, 1) and are
-    flagged degenerate.
+    vgrid.counts. Cells with |rho| <= RHO_FLOOR get (u, T) = (0, 1) and are
+    flagged degenerate; check_state rejects a more negative density.
     """
     dv = vgrid.dv
     cells = values.shape[: values.ndim - dv]
@@ -214,7 +205,7 @@ def moments(vgrid, values):
     # doubled the CPU time of the bubble2d_bgk benchmark
     m = values.reshape(cells + (vgrid.n_nodes,)) @ vgrid.moment_matrix
     rho = m[..., 0]
-    degenerate = rho <= RHO_FLOOR
+    degenerate = np.abs(rho) <= RHO_FLOOR
     # per unit mass: [1, u, mean |v|^2]; vacuum cells divide by 1
     r = m / np.where(degenerate, 1.0, rho)[..., None]
     u = r[..., 1 : dv + 1]

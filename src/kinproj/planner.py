@@ -1,17 +1,46 @@
-"""Step-size planning for projective and telescopic projective integration.
+"""Step-size ladders for projective and telescopic projective integration.
 
-The inner step is epsilon for every collision model, whatever its peak
-collision frequency (`scenarios_cli.resolve_run`), the outer step follows the
-transport CFL limit, and the extrapolation factors fill the gap, spread
-geometrically over one or more nesting levels with the coarsest level
-absorbing the residual. No spectrum is read; planning from the collision
-spectrum is ROADMAP.md item 3.
-`integrators.IntegratorPlan(h0, K, M, tableau)` builds the ladder itself.
+`ladder` builds every run's `IntegratorPlan`. An integrator is an outer
+tableau and a level count: 0 for plain steps of h0, 1 for projective steps,
+which need K >= 2, or planned for telescopic ones. A level count or factor
+list M that is given must agree with it. Without M, the extrapolation
+factors reach the target outer step from the inner step h0, spread
+geometrically over the levels with the coarsest absorbing the residual
+(`adapt_M`), over `plan_levels` levels of growth `_LEVEL_FACTOR` unless a
+count is given. No spectrum is read; planning from the collision spectrum
+is ROADMAP.md item 3.
 """
 
 import math
 
 from .errors import ConfigurationError, InfeasiblePlanError
+from .integrators import CLASSIC_RK4, FORWARD_EULER, IntegratorPlan
+
+# name -> (outer tableau, level count); None means the levels are planned
+INTEGRATORS = {"fe": (FORWARD_EULER, 0), "rk4": (CLASSIC_RK4, 0),
+               "pfe": (FORWARD_EULER, 1), "prk4": (CLASSIC_RK4, 1),
+               "tpfe": (FORWARD_EULER, None), "tprk4": (CLASSIC_RK4, None)}
+
+# default level-to-level growth when the level count is not given
+_LEVEL_FACTOR = 20.0
+
+
+def ladder(integrator, h0, h_target, K, levels=None, M=None):
+    """The integrator's ladder from h0 with K inner steps per level: the
+    factors M if given, else geometric factors reaching h_target."""
+    tableau, fixed = INTEGRATORS[integrator]
+    if len({n for n in (fixed, levels, None if M is None else len(M)) if n is not None}) > 1:
+        raise ConfigurationError(
+            f"integrator {integrator}, levels {levels} and M {M} disagree on the level count")
+    if M is None:
+        if fixed == 1 and K < 2:
+            raise ConfigurationError(f"projective planning requires K >= 2, got {K}")
+        L = levels if fixed is None else fixed
+        if L is None:
+            # at least one level, so that adapt_M names an infeasible target
+            L = max(1, plan_levels(h0, h_target, _LEVEL_FACTOR))
+        M = adapt_M(h0, h_target, K, int(L)) if fixed != 0 else ()
+    return IntegratorPlan(h0, (K,) * len(M), M, tableau)
 
 
 def plan_levels(h0, h_target, factor):

@@ -22,35 +22,17 @@ import numpy as np
 from .collision_bgk import BgkConfig
 from .collision_boltzmann import SpectralPlan
 from .errors import ConfigurationError, DiagnosticError, StepRejectionError
-from .integrators import (
-    CLASSIC_RK4,
-    FORWARD_EULER,
-    IntegratorPlan,
-    make_rhs,
-    rk_step,
-    telescopic_step,
-)
-from .phase_space import (
-    SpatialGrid,
-    VelocityGrid,
-    check_temperature,
-    derived,
-    heat_flux,
-    maxwellian,
-    moments,
-)
-from .planner import adapt_M, plan_levels, speedup
-from .spectrum_probe import jacobian_probe, spectrum, write_spectrum_csv
+from .integrators import CLASSIC_RK4, IntegratorPlan, make_rhs, rk_step, telescopic_step
+from .phase_space import (SpatialGrid, VelocityGrid, check_state, derived, heat_flux,
+                          maxwellian, moments)
+from .planner import INTEGRATORS, ladder, speedup
+from .spectrum_probe import probe_run, write_spectrum_csv
 
-INTEGRATORS = ("fe", "rk4", "pfe", "prk4", "tpfe", "tprk4")
 COLLISIONS = ("bgk", "bgk-rho", "boltzmann")
 PRESETS = ("paper", "desk")
 
 # resolved step below this fraction of a full step counts as already landed
 _REMAINDER_TOL = 1e-9
-
-# default level-to-level growth when the level count is not given
-_LEVEL_FACTOR = 20.0
 
 
 @dataclass
@@ -229,11 +211,7 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
 
     integ = (integrator or scen.integrator).lower()
     if integ not in INTEGRATORS:
-        raise ConfigurationError(f"integrator must be one of {INTEGRATORS}, got {integ!r}")
-    fixed = {"fe": 0, "rk4": 0, "pfe": 1, "prk4": 1}.get(integ)
-    if len({n for n in (fixed, levels, None if M is None else len(M)) if n is not None}) > 1:
-        raise ConfigurationError(
-            f"integrator {integ}, levels {levels} and M {M} disagree on the level count")
+        raise ConfigurationError(f"integrator must be one of {tuple(INTEGRATORS)}, got {integ!r}")
     t_end = scen.t_end if t_end is None else float(t_end)
     if not 0 <= t_end < math.inf:
         raise ConfigurationError(f"end time must be non-negative and finite, got {t_end}")
@@ -251,30 +229,14 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     if not 0 < h0_ < math.inf:  # min() below would drop a NaN
         raise ConfigurationError(f"inner step must be positive and finite, got {h0_}")
     C = scen.cfl if cfl is None else cfl
-    tableau = CLASSIC_RK4 if integ.endswith("rk4") else FORWARD_EULER
-    own_ladder = scen.M is not None and integ == scen.integrator
-    if integ in ("fe", "rk4"):
+    if INTEGRATORS[integ][1] == 0:
         # resolved explicit step: the inner scale, or exactly cfl * dx
         h0_ = min(0.1 * dx_min, h0_) if cfl is None else cfl * dx_min
-        factors = ()
-    elif M is not None:
-        factors = tuple(float(m) for m in M)
-    elif own_ladder and levels is None and K is None and h0 is None and cfl is None:
-        factors = scen.M
-    else:
-        if integ in ("pfe", "prk4"):
-            if K_ < 2:
-                raise ConfigurationError(f"projective planning requires K >= 2, got {K_}")
-            L = 1
-        elif levels is not None:
-            L = int(levels)
-        elif own_ladder:
-            L = len(scen.M)
-        else:
-            # at least one level, so that adapt_M names an infeasible target
-            L = max(1, plan_levels(h0_, C * dx_min, _LEVEL_FACTOR))
-        factors = adapt_M(h0_, C * dx_min, K_, L)
-    plan = IntegratorPlan(h0_, (K_,) * len(factors), factors, tableau)
+    elif scen.M is not None and integ == scen.integrator and M is None and levels is None:
+        # the scenario's tuned factors, or their level count under other knobs
+        tuned = K is None and h0 is None and cfl is None
+        M, levels = (scen.M, None) if tuned else (None, len(scen.M))
+    plan = ladder(integ, h0_, C * dx_min, K_, levels, M)
 
     weno_k = scen.weno_k if weno_k is None else weno_k
     rhs = make_rhs(sgrid, vgrid, weno_k, coll)
@@ -320,7 +282,7 @@ def _advance(rhs, f, duration, plan, counts):
 def write_snapshot(path, t, name, sgrid, vgrid, values):
     """Moment-field CSV: 17-significant-digit text, one row per cell."""
     mom = moments(vgrid, values)
-    check_temperature(mom)  # a state the next RHS call would reject is not written
+    check_state(mom)  # a state the next RHS call would reject is not written
     q = heat_flux(vgrid, values, mom)
     P, E, Ma = derived(mom)
     mesh = np.meshgrid(*sgrid.centers, indexing="ij")
@@ -508,16 +470,9 @@ def _cmd_plan(args):
 
 def _cmd_spectrum(args):
     run, out = _resolved_from_args(args)
-    f = initial_field(run)
-    mom = moments(run.vgrid, f)
-    # the densest, most rarefied, hottest and coldest cells, each once
-    cells = list(dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
-                               for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin)))
-    rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
-    reports = [spectrum(jacobian_probe(rhs, f[cell][None])) for cell in cells]
-    for cell, report in zip(cells, reports):
+    for cell, mom, report in probe_run(run, initial_field(run)):
         lam = report.eigenvalues * run.epsilon
-        print(f"cell {cell}: rho {mom.rho[cell]:.6g}, T {mom.T[cell]:.6g}\n"
+        print(f"cell {cell}: rho {mom.rho:.6g}, T {mom.T:.6g}\n"
               f"  eigenvalues {lam.size} ({report.slow.size} slow, {report.fast.size} fast), "
               f"gap ratio {report.gap_ratio:.6g}\n  Re(lambda*eps) in [{lam.real.min():.6g}, "
               f"{lam.real.max():.6g}], max |Im(lambda*eps)| {np.abs(lam.imag).max():.6g}")

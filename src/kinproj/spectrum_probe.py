@@ -2,14 +2,18 @@
 
 Builds the dense central-difference Jacobian of a right-hand side at one
 state, takes its spectrum, and reports the fast/slow eigenvalue clusters and
-the gap between them. `kinproj spectrum` applies this one probe to one
-cell's collision term on a run's velocity grid, for every collision model.
+the gap between them. `probe_run` applies this one probe to a resolved run:
+it takes the densest, most rarefied, hottest and coldest cells of a field,
+each once, and probes each cell's state under the run's own collision term
+on a one-cell closure of the run's velocity grid, for every collision model.
 The planner does not read these yet (ROADMAP.md item 3).
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, DiagnosticError
+from .integrators import make_rhs
+from .phase_space import MomentSet, SpatialGrid, moments
 
 # Dense-eigensolve ceiling; the probe is a diagnostic, not a production path.
 MAX_DENSE_DIMENSION = 4096
@@ -83,6 +87,18 @@ def spectrum(matrix):
     low = mags[split - 1]
     ratio = float(mags[split] / low) if low > 0.0 else np.inf
     return SpectrumReport(eig, split, ratio)
+
+
+def probe_run(run, f):
+    """(cell, its moments, SpectrumReport) for the densest, most rarefied,
+    hottest and coldest cells of the field f on the run's grids, in that
+    order, each cell once."""
+    mom = moments(run.vgrid, f)
+    cells = dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
+                          for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin))
+    rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
+    return [(c, MomentSet(mom.rho[c], mom.u[c], mom.T[c], mom.degenerate[c]),
+             spectrum(jacobian_probe(rhs, f[c][None]))) for c in cells]
 
 
 def write_spectrum_csv(path, report):

@@ -4,6 +4,8 @@ Each velocity node advects with its constant speed component, so upwinding is
 a sign split per node: positive speeds take the left-biased interface value,
 negative speeds the right-biased (mirrored) one. The conservative interface
 difference telescopes, so periodic transport conserves mass to roundoff.
+The scheme fits grids with a velocity component for every spatial axis and
+at least 2k - 1 cells on each, k a key of IDEAL_WEIGHTS (`check_stencil`).
 
 The padded lines, smoothness indicators, weights, candidates and fluxes live
 in work buffers of one block's size, kept in a plain dict that the caller
@@ -32,7 +34,7 @@ import math
 
 import numpy as np
 
-from .phase_space import empty_aligned
+from .errors import ConfigurationError
 
 # ideal (smooth-data) stencil weights d_l; stencil l reaches l cells left of center
 IDEAL_WEIGHTS = {
@@ -51,6 +53,25 @@ _K1312 = 13.0 / 12.0
 # 4,096 / 16,384 beat 8,192 in 1-3 / 7 of 10 alternating pairs of calls on the
 # bubble2d_bgk grid and in 3-4 / 1-4 on the dsod2d_spectral grid: 8,192 stays.
 _BLOCK_POINTS = 8192
+
+
+def check_stencil(sgrid, vgrid, k):
+    """Reject grids that the order-k scheme does not fit; `integrators.make_rhs`
+    calls this once per closure."""
+    if k not in IDEAL_WEIGHTS:
+        raise ConfigurationError(f"unsupported reconstruction order k={k}")
+    if vgrid.dv < sgrid.dx_dims:
+        raise ConfigurationError("velocity dimension must cover every transported axis")
+    for a, n in enumerate(sgrid.counts):
+        if n < 2 * k - 1:
+            raise ConfigurationError(f"axis {a}: {n} cells < stencil width {2 * k - 1}")
+
+
+def empty_aligned(shape):
+    """A new float64 array of this shape tuple on a 64-byte boundary: a view
+    into a larger np.empty, as in pyfftw."""
+    raw = np.empty(8 * math.prod(shape) + 64, dtype=np.uint8)
+    return raw[-raw.ctypes.data % 64 :][: raw.size - 64].view(np.float64).reshape(shape)
 
 
 def _buf(work, name, shape):
@@ -228,9 +249,8 @@ def transport_rhs(field, k, work, out=None):
     ``work`` is the caller's dict of work buffers and grid layouts (see the
     module notes). ``out`` is an array of the field's shape that the fluxes
     are subtracted from in place, and is returned; without it the fluxes
-    are subtracted from a new array of zeros. The configuration is the one
-    `integrators.make_rhs` checks: every transported axis has a velocity
-    component and at least 2k - 1 cells.
+    are subtracted from a new array of zeros. The grids are ones that
+    `check_stencil` accepts.
     """
     f = field.values
     if out is None:

@@ -13,6 +13,7 @@ from kinproj.collision_boltzmann import (
     phi_profile,
 )
 from kinproj.errors import ConfigurationError, StepRejectionError
+from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
 from kinproj.spectrum_probe import jacobian_probe, spectrum
 
@@ -298,3 +299,14 @@ def test_configuration_errors():
     f = DistributionField(np.ones((2, 16, 16)), sg, vg16)
     with pytest.raises(ConfigurationError):
         boltzmann_rhs(f, plan, 0.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
+def test_rhs_requires_finite_epsilon(epsilon):
+    # an infinite epsilon would give an all-zero collision term, which
+    # BgkConfig rejects for BGK
+    vg = VelocityGrid(2, 8.0, 16)
+    sg = SpatialGrid([0.0], [1.0], [1], "periodic")
+    rhs = make_rhs(sg, vg, None, (SpectralPlan(16, 8.0), epsilon))
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        rhs(maxwellian(vg, 1.0, [0.0, 0.0], 1.0)[None])

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinproj.errors import ConfigurationError
+from kinproj.collision_bgk import BgkConfig, bgk_rhs
+from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
+from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.phase_space import (
     DistributionField,
     SpatialGrid,
@@ -13,6 +15,7 @@ from kinproj.phase_space import (
     maxwellian,
     moments,
 )
+from kinproj.scenarios_cli import write_snapshot
 
 
 def direct_moments_1d(v, w, f):
@@ -216,6 +219,25 @@ def test_degenerate_cells_are_flagged_and_floored():
     assert bool(mom.degenerate[0]) and not bool(mom.degenerate[1])
     assert np.all(mom.u[0] == 0.0) and mom.T[0] == 1.0
     assert np.isfinite(mom.T).all()
+
+
+def test_negative_density_is_rejected_not_vacuum(tmp_path):
+    # a cell holding -0.5 M has u = 0 and T = 1 from its own moments; it is
+    # no vacuum cell, so the collision terms and the snapshot writer reject it
+    sg = SpatialGrid((0.0,), (1.0,), 3, "outflow")
+    for vg, collide in ((VelocityGrid(1, 8.0, 32), lambda f: bgk_rhs(f, BgkConfig("constant", 1.0))),
+                        (VelocityGrid(2, 8.0, 16), lambda f: boltzmann_rhs(f, SpectralPlan(16, 8.0), 1.0))):
+        m = maxwellian(vg, 1.0, np.zeros(vg.dv), 1.0)
+        f = np.stack([m, -0.5 * m, m])
+        mom = moments(vg, f)
+        assert mom.rho[1] == pytest.approx(-0.5) and not mom.degenerate.any()
+        with pytest.raises(StepRejectionError, match=r"non-positive density in cell \(1,\)") as exc:
+            collide(DistributionField(f, sg, vg))
+        assert exc.value.index == (1,)
+        path = tmp_path / f"snap_{vg.dv}v.csv"
+        with pytest.raises(StepRejectionError, match=r"non-positive density in cell \(1,\)"):
+            write_snapshot(path, 0.0, "demo", sg, vg, f)
+        assert not path.exists()
 
 
 def test_quadrature_weights_sum_to_box_volume():

@@ -3,18 +3,18 @@ import pytest
 
 from kinproj.errors import ConfigurationError, InfeasiblePlanError
 from kinproj.integrators import CLASSIC_RK4, FORWARD_EULER, IntegratorPlan
-from kinproj.planner import adapt_M, plan_levels, speedup
+from kinproj.planner import adapt_M, ladder, plan_levels, speedup
 from kinproj.scenarios_cli import resolve_run
 
 
-def two_cluster(h0, dx, cfl, K, tableau=FORWARD_EULER):
+def two_cluster(h0, dx, cfl, K, integrator="pfe"):
     """The pfe/prk4 plan for a two-cluster spectrum: the one-level case of
     the geometric rule."""
-    return IntegratorPlan(h0, (K,), adapt_M(h0, cfl * dx, K, 1), tableau)
+    return ladder(integrator, h0, cfl * dx, K)
 
 
 def test_two_cluster_sod_parameters():
-    plan = two_cluster(1e-5, 0.01, 0.4, 2, CLASSIC_RK4)
+    plan = two_cluster(1e-5, 0.01, 0.4, 2, "prk4")
     assert plan.levels == 1
     assert plan.h[0] == 1e-5
     assert plan.h[1] == 0.4 * 0.01
@@ -44,6 +44,40 @@ def test_two_cluster_epsilon_enters_only_through_inner_step():
     assert b.h[0] == 2.0 * a.h[0]
     assert b.h[1] == a.h[1]
     assert b.K == a.K
+
+
+@pytest.mark.parametrize("integrator, tableau, levels", [
+    ("fe", FORWARD_EULER, 0), ("rk4", CLASSIC_RK4, 0),
+    ("pfe", FORWARD_EULER, 1), ("prk4", CLASSIC_RK4, 1),
+    ("tpfe", FORWARD_EULER, 2), ("tprk4", CLASSIC_RK4, 2),
+])
+def test_ladder_kinds(integrator, tableau, levels):
+    # h_target / h0 = 400 spans two levels of the default growth 20
+    plan = ladder(integrator, 1e-5, 4e-3, 2)
+    assert plan.outer_tableau is tableau
+    assert plan.levels == levels
+    assert plan.h[0] == 1e-5
+    if levels:
+        assert plan.h[-1] == pytest.approx(4e-3, rel=1e-12)
+        assert plan.K == (2,) * levels
+
+
+def test_ladder_rules():
+    assert ladder("tprk4", 1e-5, 4e-3, 2, levels=3).levels == 3
+    assert ladder("tpfe", 1e-5, 4e-3, 2, M=(1.0, 2.0, 3.0)).M == (1.0, 2.0, 3.0)
+    assert ladder("pfe", 1e-5, 4e-3, 1, M=(5.0,)).K == (1,)  # K >= 2 binds planning only
+    with pytest.raises(ConfigurationError, match="levels must be a positive integer"):
+        ladder("tpfe", 1e-5, 4e-3, 2, levels=0)
+    for integrator in ("pfe", "prk4"):
+        with pytest.raises(ConfigurationError, match="requires K >= 2, got 1"):
+            ladder(integrator, 1e-5, 4e-3, 1)
+    for integrator, levels, M in (("prk4", 3, None), ("pfe", None, (10.0, 10.0)),
+                                  ("rk4", None, (5.0,)), ("fe", 1, None),
+                                  ("tprk4", 3, (1.0, 2.0))):
+        with pytest.raises(ConfigurationError, match="disagree on the level count"):
+            ladder(integrator, 1e-5, 4e-3, 2, levels, M)
+    with pytest.raises(InfeasiblePlanError, match="below the inner step"):
+        ladder("tprk4", 1e-5, 5e-6, 2)
 
 
 def test_planner_input_validation():

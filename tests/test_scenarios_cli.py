@@ -153,8 +153,9 @@ class _CountingRhs:
     (dict(integrator="tprk4", collision="bgk-rho", K=6, M=(14.24, 2.0),
           nx=(30,), nv=(16,), t_end=0.01), [996, 142, 5]),
     # leftover 2e-5 below the (K+1)*h0 = 3e-5 sweep: two whole level-0
-    # forward-Euler steps of h0
-    (dict(integrator="pfe", nx=(20,), nv=(16,), t_end=0.02 + 2e-5), [5, 1]),
+    # forward-Euler steps of h0 (at the default cfl 0.4 the top step of 0.02
+    # leaves negative densities in cells 10-19, and the landing rejects them)
+    (dict(integrator="pfe", nx=(20,), nv=(16,), cfl=0.05, t_end=0.0025 + 2e-5), [5, 1]),
     # h = (1e-5, 5e-5, 2.5e-4): the leftover 6.5e-5 takes one whole level-1
     # step, its 1.5e-5 one whole level-0 step, and the last 5e-6 one rk_step
     (dict(integrator="tpfe", K=2, M=(2.0, 2.0), nx=(20,), nv=(16,),
@@ -201,18 +202,18 @@ def test_plain_steps_follow_epsilon(tmp_path):
 
 
 def test_nonphysical_snapshot_is_rejected(tmp_path):
-    # the run above at cfl 0.1 (step 5e-3): its last step leaves negative
-    # temperatures, which no later RHS call sees; the snapshot check
-    # rejects them
+    # the run above at cfl 0.1 (step 5e-3): its one step leaves negative
+    # densities and temperatures in cells 10-19, which no later RHS call
+    # sees; the snapshot check rejects them
     code = main(["run", "--scenario", "sod_1d1d", "--preset", "desk",
                  "--integrator", "fe", "--nx", "20", "--nv", "16",
-                 "--t-end", "0.02", "--snapshots", "2", "--cfl", "0.1",
+                 "--t-end", "0.005", "--snapshots", "2", "--cfl", "0.1",
                  "--out", str(tmp_path)])
     assert code == 3
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "rejected"
-    assert "non-positive temperature in cell" in manifest["error"]
-    assert manifest["steps_per_level"] == [4]
+    assert "non-positive temperature in cell (10,)" in manifest["error"]
+    assert manifest["steps_per_level"] == [1]
     assert [s["file"] for s in manifest["snapshots"]] == ["snapshot_000.csv"]
     assert not (tmp_path / "snapshot_001.csv").exists()
 

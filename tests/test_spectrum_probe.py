@@ -4,8 +4,15 @@ import pytest
 from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError, DiagnosticError
 from kinproj.integrators import make_rhs
-from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
-from kinproj.spectrum_probe import MAX_DENSE_DIMENSION, jacobian_probe, spectrum, write_spectrum_csv
+from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian, moments
+from kinproj.scenarios_cli import resolve_run
+from kinproj.spectrum_probe import (
+    MAX_DENSE_DIMENSION,
+    jacobian_probe,
+    probe_run,
+    spectrum,
+    write_spectrum_csv,
+)
 from kinproj.transport_weno import transport_rhs
 
 # The analytic linearization of the nu = 1 BGK term at the standard
@@ -226,6 +233,23 @@ def test_proportional_frequency_spreads_fast_cluster():
     fast = np.abs(rep.fast)
     assert fast.min() == pytest.approx(0.125 / 1e-3, rel=1e-6)
     assert fast.max() == pytest.approx(1.0 / 1e-3, rel=1e-6)
+
+
+def test_probe_run_cells_and_reports():
+    # the densest cell (1,) is also the hottest: it is probed once
+    run = resolve_run("sod_1d1d", collision="bgk-rho", nx=(6,), nv=(12,))
+    rho = np.array([1.0, 3.0, 0.5, 2.0, 1.0, 1.0])
+    T = np.array([1.0, 2.0, 1.0, 0.5, 1.0, 1.0])
+    f = maxwellian(run.vgrid, rho, np.zeros((6, 1)), T)
+    probed = probe_run(run, f)
+    assert [cell for cell, _, _ in probed] == [(1,), (2,), (3,)]
+    mom = moments(run.vgrid, f)
+    rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
+    for cell, cell_mom, report in probed:
+        assert cell_mom.rho == mom.rho[cell] and cell_mom.T == mom.T[cell]
+        ref = spectrum(jacobian_probe(rhs, f[cell][None]))
+        assert np.array_equal(report.eigenvalues, ref.eigenvalues)
+        assert (report.split, report.gap_ratio) == (ref.split, ref.gap_ratio)
 
 
 def test_spectrum_zero_operator():

@@ -4,7 +4,7 @@ import pytest
 from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError
 from kinproj.integrators import make_rhs
-from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, empty_aligned
+from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
 from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.transport_weno import (
     _K1312,
@@ -12,6 +12,7 @@ from kinproj.transport_weno import (
     IDEAL_WEIGHTS,
     _betas,
     _reconstruct_left,
+    empty_aligned,
     transport_rhs,
 )
 
