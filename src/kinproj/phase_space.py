@@ -168,17 +168,19 @@ def maxwellian(vgrid, rho, u, T):
 def check_state(mom):
     """Reject a non-physical state.
 
-    A non-vacuum cell whose temperature or density is not positive (or not
-    finite) is one: StepRejectionError names the first such cell by its
+    A non-vacuum cell whose temperature or density is not positive or not
+    finite is one: StepRejectionError names the first such cell by its
     spatial index tuple, temperature first.
     """
-    if ((mom.rho > 0) & (mom.T > 0)).all():
+    # one combined test for the all-good case; a NaN fails every comparison
+    if ((mom.rho > 0) & (mom.rho < np.inf) & (mom.T > 0) & (mom.T < np.inf)).all():
         return
     for name, q in (("temperature", mom.T), ("density", mom.rho)):
-        bad = ~mom.degenerate & ~(q > 0)
+        bad = ~mom.degenerate & ~((q > 0) & (q < np.inf))
         if bad.any():
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-            raise StepRejectionError(f"non-positive {name} in cell {idx}", index=idx)
+            kind = "non-positive" if q[idx] <= 0 else "non-finite"
+            raise StepRejectionError(f"{kind} {name} in cell {idx}", index=idx)
 
 
 def local_maxwellian(vgrid, mom):

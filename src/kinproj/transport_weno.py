@@ -7,27 +7,46 @@ difference telescopes, so periodic transport conserves mass to roundoff.
 The scheme fits grids with a velocity component for every spatial axis and
 at least 2k - 1 cells on each, k a key of IDEAL_WEIGHTS (`check_stencil`).
 
-The padded lines, smoothness indicators, weights, candidates and fluxes live
-in work buffers of one block's size, kept in a plain dict that the caller
-owns and passes to every call: `integrators.make_rhs` makes one per RHS
-closure, so a closure is not safe to share between threads. Buffers are
-keyed by name and shape, so each axis and a ragged last block get their own.
-Reusing them keeps the memory warm from one call to the next instead of
-returning it to the operating system and faulting it in again. The same dict
-keeps the per-axis layout of the grids (index tuples, block slices, |v| at
-each block's shape), built on the first call. The fluxes are subtracted from
-the caller's output array, or from a new one: Runge-Kutta stages keep earlier
-slopes and the Jacobian probe subtracts two consecutive results, so the
-output must never alias a buffer. Every operation runs in the order of the
-plain array formulas in the comments, so the result is the same bit for bit.
+The kernel works on the differences D_j = P_{j+1} - P_j of the padded lines
+P. Window i (P_i .. P_{i+2k-2}) has centre c = i + k - 1 and left-biased
+interface value fhat_i = P_c + g_i / c_k, c_k = 1, 2, 6 for k = 1, 2, 3, so
+c_k (fhat_{i+1} - fhat_i) = c_k D_c + g_{i+1} - g_i, and the layout's |v|
+columns carry 1 / (c_k h):
 
-The buffers and |v| arrays start on a 64-byte boundary (`empty_aligned`).
-numpy starts arrays of 8,192 values and more 16 or 48 bytes past one, and
-there a subtract or multiply into a third array took 5.1-5.3 against 3.0 us
-for 8,192 values, and 15.5-16.3 against 6.8 us for 25,600 (AVX-512 Xeon,
-numpy 2.4); in-place ops and divides lose little. The right-hand sides stay
-plain arrays: 64 bytes larger than the stepping's own arrays of that size,
-they fragmented the heap and added 5 MiB to the peak memory of some runs.
+- k = 1: g = 0.
+- k = 2: s_j = (DELTA + D_j^2)^2, the weight of stencil 0 in ratio form
+  omega_i = s_i / (s_i + (d_1/d_0) s_{i+1}), and
+  g_i = D_i + omega_i (D_{i+1} - D_i).
+- k = 3: with E_j = D_{j+1} - D_j, the indicators times 4 are
+  4 beta_0 = 13/3 E_c^2 + (E_c - 2 D_c)^2, 4 beta_1 = 13/3 E_{c-1}^2 +
+  (D_{c-1} + D_c)^2 and 4 beta_2 = 13/3 E_{c-2}^2 + (E_{c-2} + 2 D_{c-1})^2;
+  a_l = d_l / (4 DELTA + 4 beta_l)^2 and g_i = sum a_l q_l / sum a_l over
+  q_l = 6 (p_l - P_c) = 4 D_c - D_{c+1}, D_{c-1} + 2 D_c, 5 D_{c-1} - 2 D_{c-2}.
+
+These are the Jiang-Shu weights and candidates of the cell-value form, equal
+up to roundoff. Per block, k = 1 / 2 / 3 take 2 / 14 / 40 ufunc calls with
+0 / 1 / 4 divides, against 8 / 18 / 54 calls with 3 / 4 / 8 divides in the
+cell-value form with the weights' quotient and a divide by h.
+
+The padded lines, differences, indicators, weights, candidates and fluxes
+live in work buffers of one block's size, keyed by name and shape (so each
+axis and a ragged last block get their own) in a plain dict that the caller
+owns and passes to every call: `integrators.make_rhs` makes one per RHS
+closure, so a closure is not safe to share between threads. Reused, they
+stay warm instead of being returned to the operating system and faulted in
+again. The same dict keeps the per-axis layout of the grids (index tuples,
+block slices, |v| / (c_k h) at each block's shape), built on the first call
+for each k. The fluxes are subtracted from the caller's output array, or
+from a new one: Runge-Kutta stages keep earlier slopes and the Jacobian
+probe subtracts two consecutive results, so the output must never alias a
+buffer. Every operation runs in the order of the plain array formulas in the
+comments, so the result is the same bit for bit.
+
+The buffers and |v| arrays start on a 64-byte boundary (`empty_aligned`): at
+numpy's own placement, 16 or 48 bytes past one, a two-input ufunc into a
+third array ran at 42-59% of that speed (AVX-512 Xeon, numpy 2.4). The
+right-hand sides stay plain arrays: aligned, they fragmented the heap and
+added 5 MiB to the peak memory of some runs.
 """
 
 import math
@@ -47,11 +66,14 @@ IDEAL_WEIGHTS = {
 # robust range [1e-7, 1e-5]
 DELTA = 1e-6
 
-_K1312 = 13.0 / 12.0
+# c_k: the kernel forms c_k times the interface values' differences
+_SCALE = {1: 1.0, 2: 2.0, 3: 6.0}
 
-# values per block of transport lines (see transport_rhs). With aligned buffers,
-# 4,096 / 16,384 beat 8,192 in 1-3 / 7 of 10 alternating pairs of calls on the
-# bubble2d_bgk grid and in 3-4 / 1-4 on the dsod2d_spectral grid: 8,192 stays.
+# values per block of transport lines (see transport_rhs). With the difference
+# form, 4,096 / 16,384 beat 8,192 in 1 / 7 of 10 alternating rounds of calls on
+# the bubble2d_bgk grid and in 5 / 9 on the dsod2d_spectral grid: 8,192 stays.
+# Blocks cut one cell axis only; cutting bubble2d_bgk's x-axis blocks (25,600
+# values) to 6,400 along a velocity axis as well was slower in 9 of 10 pairs.
 _BLOCK_POINTS = 8192
 
 
@@ -82,103 +104,72 @@ def _buf(work, name, shape):
     return arr
 
 
-def _betas(k, P, n, work):
-    """Smoothness indicators of the n windows P[i : i + 2k - 1] along axis 0.
-
-    Window i is centered on P[i + k - 1]. Sub-expressions that the stencils
-    share up to a shift are formed once over P and sliced. The results are
-    work buffers, overwritten by the next call.
-    """
-    shape = (n,) + P.shape[1:]
-    if k == 1:
-        b = _buf(work, "b0", shape)
-        b.fill(0.0)
-        return (b,)
+def _betas(k, D, n, work):
+    """Smoothness indicators of the n windows from the differences D, as work
+    buffers: D_{i+1}^2 and D_i^2 (row shifts of one buffer) for k = 2, and
+    4 beta_l for k = 3, which leaves 2 D in ``work`` for `_candidates`."""
+    rest = D.shape[1:]
     if k == 2:
-        sq = _buf(work, "sq", (n + 1,) + P.shape[1:])
-        np.subtract(P[: n + 1], P[1 : n + 2], out=sq)
-        np.square(sq, out=sq)
-        return (sq[1 : n + 1], sq[:n])
-    # curv = 13/12 (P[i] - 2 P[i+1] + P[i+2])^2
-    curv = _buf(work, "curv", (n + 2,) + P.shape[1:])
-    np.multiply(2, P[1 : n + 3], out=curv)
-    np.subtract(P[: n + 2], curv, out=curv)
-    np.add(curv, P[2 : n + 4], out=curv)
-    np.square(curv, out=curv)
-    np.multiply(_K1312, curv, out=curv)
-    P3 = np.multiply(3, P, out=_buf(work, "P3", P.shape))
-    P4 = np.multiply(4, P, out=_buf(work, "P4", P.shape))
-    b0, b1, b2 = (_buf(work, f"b{l}", shape) for l in range(3))
-    # b0 = curv[2:] + 1/4 (3 P[2:] - 4 P[3:] + P[4:])^2
-    np.subtract(P3[2 : n + 2], P4[3 : n + 3], out=b0)
-    np.add(b0, P[4 : n + 4], out=b0)
-    # b1 = curv[1:] + 1/4 (P[1:] - P[3:])^2
-    np.subtract(P[1 : n + 1], P[3 : n + 3], out=b1)
-    # b2 = curv + 1/4 (P - 4 P[1:] + 3 P[2:])^2
-    np.subtract(P[:n], P4[1 : n + 1], out=b2)
-    np.add(b2, P3[2 : n + 2], out=b2)
+        sq = np.square(D[: n + 1], out=_buf(work, "sq", (n + 1,) + rest))
+        return (sq[1:], sq[:n])
+    E = np.subtract(D[1 : n + 3], D[: n + 2], out=_buf(work, "E", (n + 2,) + rest))
+    curv = np.square(E, out=_buf(work, "curv", E.shape))
+    np.multiply(13.0 / 3.0, curv, out=curv)
+    D2 = np.multiply(2.0, D[: n + 2], out=_buf(work, "D2", E.shape))
+    b0, b1, b2 = (_buf(work, f"b{l}", (n,) + rest) for l in range(3))
+    np.subtract(E[2:], D2[2:], out=b0)  # E_c - 2 D_c
+    np.add(D[1 : n + 1], D[2 : n + 2], out=b1)  # D_{c-1} + D_c
+    np.add(E[:n], D2[1 : n + 1], out=b2)  # E_{c-2} + 2 D_{c-1}
     for b, c in ((b0, 2), (b1, 1), (b2, 0)):
         np.square(b, out=b)
-        np.multiply(0.25, b, out=b)
         np.add(curv[c : c + n], b, out=b)
     return (b0, b1, b2)
 
 
-def _candidates(k, P, n, work):
-    """Per-stencil values at the right edge of each window's center cell."""
-    if k == 1:
-        return (P[:n],)
-    shape = (n,) + P.shape[1:]
+def _candidates(k, D, n, work):
+    """c_k (p_l - P_c) of each stencil l of the n windows; for k = 3 call
+    after `_betas`, whose doubled differences it reads."""
     if k == 2:
-        half = _buf(work, "half", (n + 2,) + P.shape[1:])
-        np.multiply(0.5, P[: n + 2], out=half)
-        p0, p1 = _buf(work, "p0", shape), _buf(work, "p1", shape)
-        np.add(half[1 : n + 1], half[2 : n + 2], out=p0)
-        np.multiply(1.5, P[1 : n + 1], out=p1)
-        np.subtract(p1, half[:n], out=p1)
-        return (p0, p1)
-    P2 = np.multiply(2, P, out=_buf(work, "P2", P.shape))
-    P5 = np.multiply(5, P, out=_buf(work, "P5", P.shape))
-    u = _buf(work, "u", shape)
-    p0, p1, p2 = (_buf(work, f"p{l}", shape) for l in range(3))
-    # p0 = (2 P[2:] + 5 P[3:] - P[4:]) / 6
-    np.add(P2[2 : n + 2], P5[3 : n + 3], out=p0)
-    np.subtract(p0, P[4 : n + 4], out=p0)
-    # p1 = (-P[1:] + 5 P[2:] + 2 P[3:]) / 6; b - a is bitwise (-a) + b
-    np.subtract(P5[2 : n + 2], P[1 : n + 1], out=p1)
-    np.add(p1, P2[3 : n + 3], out=p1)
-    # p2 = (2 P - 7 P[1:] + 11 P[2:]) / 6
-    np.multiply(7, P[1 : n + 1], out=u)
-    np.subtract(P2[:n], u, out=p2)
-    np.multiply(11, P[2 : n + 2], out=u)
-    np.add(p2, u, out=p2)
-    for p in (p0, p1, p2):
-        np.divide(p, 6.0, out=p)
-    return (p0, p1, p2)
+        return (D[1 : n + 1], D[:n])
+    D2 = _buf(work, "D2", (n + 2,) + D.shape[1:])
+    q0, q1, q2 = (_buf(work, f"q{l}", D2[:n].shape) for l in range(3))
+    np.multiply(4.0, D[2 : n + 2], out=q0)
+    np.subtract(q0, D[3 : n + 3], out=q0)  # 4 D_c - D_{c+1}
+    np.add(D[1 : n + 1], D2[2:], out=q1)  # D_{c-1} + 2 D_c
+    np.multiply(5.0, D[1 : n + 1], out=q2)
+    np.subtract(q2, D2[:n], out=q2)  # 5 D_{c-1} - 2 D_{c-2}
+    return (q0, q1, q2)
 
 
-def _reconstruct_left(k, P, n, work):
-    """Left-biased WENO values for the n windows P[i : i + 2k - 1].
-
-    The result is a work buffer, overwritten by the next call.
-    """
+def _reconstruct_left(k, D, n, work):
+    """g_i = c_k (fhat_i - P_c) of the n left-biased windows, k = 2 or 3,
+    from the differences D (module notes), as a work buffer."""
     d = IDEAL_WEIGHTS[k]
-    betas = _betas(k, P, n, work)
-    shape = betas[0].shape
-    # (DELTA + beta_l)^2 in the betas' memory, then d_l / (DELTA + beta_l)^2;
-    # the WENO3 betas are row shifts of the n + 1 rows of "sq", squared once
-    for b in (_buf(work, "sq", (n + 1,) + shape[1:]),) if k == 2 else betas:
-        np.add(DELTA, b, out=b)
+    betas = _betas(k, D, n, work)
+    qs = _candidates(k, D, n, work)
+    if k == 2:
+        # s = (DELTA + beta)^2 over the shared rows, then omega and g in ratio form
+        sq = _buf(work, "sq", (n + 1,) + D.shape[1:])
+        np.add(DELTA, sq, out=sq)
+        np.square(sq, out=sq)
+        s0, s1 = betas
+        om = np.multiply(d[1] / d[0], s0, out=_buf(work, "om", s0.shape))
+        np.add(s1, om, out=om)
+        np.divide(s1, om, out=om)
+        g = np.subtract(qs[0], qs[1], out=_buf(work, "g", om.shape))
+        np.multiply(om, g, out=g)
+        return np.add(qs[1], g, out=g)
+    # a_l = d_l / (4 DELTA + 4 beta_l)^2 in the betas' memory
+    for l, b in enumerate(betas):
+        np.add(4 * DELTA, b, out=b)
         np.square(b, out=b)
-    alphas = [np.divide(d[l], b, out=_buf(work, f"a{l}", shape)) for l, b in enumerate(betas)]
-    total = alphas[0]
-    for a in alphas[1:]:
-        total = np.add(total, a, out=_buf(work, "total", shape))
-    ps = _candidates(k, P, n, work)
-    num = np.multiply(alphas[0], ps[0], out=_buf(work, "num", shape))
-    for a, p in zip(alphas[1:], ps[1:]):
-        np.multiply(a, p, out=a)
-        np.add(num, a, out=num)
+        np.divide(d[l], b, out=b)
+    total = np.add(betas[0], betas[1], out=_buf(work, "total", betas[0].shape))
+    np.add(total, betas[2], out=total)
+    num = np.multiply(betas[0], qs[0], out=qs[0])
+    for a, q in zip(betas[1:], qs[1:]):
+        np.multiply(a, q, out=q)
+        np.add(num, q, out=num)
     return np.divide(num, total, out=num)
 
 
@@ -193,18 +184,17 @@ def _fill_ghosts(P, k, boundary):
         P[n + k :] = P[n + k - 1]
 
 
-def _layout(work, sg, vg, shape):
-    """Per-axis layout of a field of this shape on these grids.
+def _layout(work, sg, vg, shape, k):
+    """Per-axis layout of a field of this shape on these grids, for order k.
 
     One entry per transported axis: the axis order that brings it to the
-    front, its spacing and boundary, the index tuples of the negative- and
-    positive-speed halves, and each block's slice tuple with |v| at the
-    block's full shape (one aligned array per distinct shape, so that
-    scaling the fluxes is no broadcast). It depends on nothing but the grids,
-    so it is built once and kept in ``work`` under ("layout", shape); other
-    grids of the same shape rebuild it.
+    front, its boundary, the index tuples of the negative- and positive-speed
+    halves, and each block's slice tuple with |v| / (c_k h) at the block's
+    full shape (one aligned array per distinct shape: no broadcast). It is
+    built once and kept in ``work`` under ("layout", shape, k); other grids
+    of the same shape rebuild it.
     """
-    lay = work.get(("layout", shape))
+    lay = work.get(("layout", shape, k))
     if lay is not None and lay[0] is sg and lay[1] is vg:
         return lay[2]
     ndim = len(shape)
@@ -227,10 +217,11 @@ def _layout(work, sg, vg, shape):
             bshape = tuple(min(step, n_b - j) if i == bax else s for i, s in enumerate(ashape))
             if bshape not in full:
                 full[bshape] = np.abs(v, out=empty_aligned(bshape))
+                np.divide(full[bshape], _SCALE[k] * sg.spacings[a], out=full[bshape])
             blocks.append((tuple(slice(j, j + step) if i == bax else slice(None)
                                  for i in range(ndim)), full[bshape]))
-        axes.append((order, sg.spacings[a], sg.boundaries[a], neg, pos, blocks))
-    work[("layout", shape)] = (sg, vg, axes)
+        axes.append((order, sg.boundaries[a], neg, pos, blocks))
+    work[("layout", shape, k)] = (sg, vg, axes)
     return axes
 
 
@@ -256,7 +247,7 @@ def transport_rhs(field, k, work, out=None):
     if out is None:
         out = empty_aligned(f.shape)
         out.fill(0.0)
-    for order, h, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape):
+    for order, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape, k):
         fa, oa = f.transpose(order), out.transpose(order)
         N = fa.shape[0]
         for blk, w in blocks:
@@ -267,11 +258,18 @@ def transport_rhs(field, k, work, out=None):
             lines[neg] = fb[neg][::-1]
             lines[pos] = fb[pos]
             _fill_ghosts(P, k, boundary)
-            fhat = _reconstruct_left(k, P, N + 1, work)
+            D = np.subtract(P[1:], P[:-1], out=_buf(work, "D", (N + 2 * k - 1,) + fb.shape[1:]))
+            # w (c_k D_c + g_{i+1} - g_i) with w = |v| / (c_k h)
+            Dc = D[k - 1 : N + k - 1]
             flux = _buf(work, "flux", fb.shape)
-            np.subtract(fhat[1:], fhat[:-1], out=flux)
-            np.multiply(w, flux, out=flux)
-            np.divide(flux, h, out=flux)
+            if k == 1:
+                np.multiply(w, Dc, out=flux)
+            else:
+                g = _reconstruct_left(k, D, N + 1, work)
+                np.subtract(g[1:], g[:-1], out=flux)
+                np.multiply(_SCALE[k], Dc, out=Dc)
+                np.add(Dc, flux, out=flux)
+                np.multiply(w, flux, out=flux)
             # back to the field's layout, then one subtraction: a ufunc over
             # the two half views (one of them reversed) allocates buffers for
             # them, more than a field's size on the sod_1d1d grid

@@ -8,10 +8,12 @@ from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
 from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.phase_space import (
     DistributionField,
+    MomentSet,
     SpatialGrid,
     VelocityGrid,
     derived,
     heat_flux,
+    local_maxwellian,
     maxwellian,
     moments,
 )
@@ -238,6 +240,22 @@ def test_negative_density_is_rejected_not_vacuum(tmp_path):
         with pytest.raises(StepRejectionError, match=r"non-positive density in cell \(1,\)"):
             write_snapshot(path, 0.0, "demo", sg, vg, f)
         assert not path.exists()
+
+
+def test_non_finite_moments_are_rejected():
+    # an infinite or NaN temperature or density in a non-vacuum cell is a
+    # rejected step naming the cell, not a ValueError from maxwellian
+    vg = VelocityGrid(1, 8.0, 16)
+    for name, q, value, kind in (("T", "temperature", np.inf, "non-finite"),
+                                 ("T", "temperature", np.nan, "non-finite"),
+                                 ("rho", "density", np.inf, "non-finite"),
+                                 ("T", "temperature", -np.inf, "non-positive")):
+        mom = MomentSet(rho=np.ones(3), u=np.zeros((3, 1)), T=np.ones(3),
+                        degenerate=np.zeros(3, dtype=bool))
+        getattr(mom, name)[2] = value
+        with pytest.raises(StepRejectionError, match=rf"{kind} {q} in cell \(2,\)") as exc:
+            local_maxwellian(vg, mom)
+        assert exc.value.index == (2,)
 
 
 def test_quadrature_weights_sum_to_box_volume():

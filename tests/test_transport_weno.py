@@ -7,7 +7,7 @@ from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
 from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.transport_weno import (
-    _K1312,
+    _SCALE,
     DELTA,
     IDEAL_WEIGHTS,
     _betas,
@@ -17,10 +17,62 @@ from kinproj.transport_weno import (
 )
 
 
-# ---- reference kernel: the plain array formulas, each step a new array, and
-# whole lines at once (no blocks). transport_rhs must agree bit for bit.
+# ---- reference kernel: the plain array formulas of the difference form (see
+# the transport_weno module notes) on D = P[1:] - P[:-1], each step a new
+# array, and whole lines at once (no blocks). transport_rhs must agree bit
+# for bit. The k = 3 indicators are 4 beta_l.
 
-def ref_betas(k, P, n):
+def ref_betas(k, D, n):
+    if k == 2:
+        sq = D[: n + 1] ** 2
+        return (sq[1:], sq[:n])
+    E = D[1:] - D[:-1]
+    curv = 13.0 / 3.0 * E**2
+    D2 = 2 * D
+    b0 = curv[2 : n + 2] + (E[2 : n + 2] - D2[2 : n + 2]) ** 2
+    b1 = curv[1 : n + 1] + (D[1 : n + 1] + D[2 : n + 2]) ** 2
+    b2 = curv[:n] + (E[:n] + D2[1 : n + 1]) ** 2
+    return (b0, b1, b2)
+
+
+def ref_candidates(k, D, n):
+    if k == 2:
+        return (D[1 : n + 1], D[:n])
+    return (4 * D[2 : n + 2] - D[3 : n + 3], D[1 : n + 1] + 2 * D[2 : n + 2],
+            5 * D[1 : n + 1] - 2 * D[:n])
+
+
+def ref_reconstruct_left(k, D, n):
+    d = IDEAL_WEIGHTS[k]
+    b, q = ref_betas(k, D, n), ref_candidates(k, D, n)
+    if k == 2:
+        s0, s1 = ((DELTA + x) ** 2 for x in b)
+        om = s1 / (s1 + d[1] / d[0] * s0)
+        return q[1] + om * (q[0] - q[1])
+    a = [d[l] / (4 * DELTA + x) ** 2 for l, x in enumerate(b)]
+    return (a[0] * q[0] + a[1] * q[1] + a[2] * q[2]) / (a[0] + a[1] + a[2])
+
+
+def ref_flux(P, k, v, h):
+    """|v| (fhat_{i+1} - fhat_i) / h of padded lines P, in the difference form."""
+    N = P.shape[0] - 2 * k
+    D = P[1:] - P[:-1]
+    Dc = D[k - 1 : N + k - 1]
+    w = np.abs(v) / (_SCALE[k] * h)
+    if k == 1:
+        return w * Dc
+    g = ref_reconstruct_left(k, D, N + 1)
+    return w * (_SCALE[k] * Dc + (g[1:] - g[:-1]))
+
+
+# ---- the quotient form on the cell values that the kernel used before the
+# difference form, verbatim: the weights d_l / (DELTA + beta_l)^2 over their
+# sum and the candidate values p_l themselves. It agrees to roundoff.
+
+_K1312 = 13.0 / 12.0
+
+
+def quotient_betas(k, P, n):
     if k == 1:
         return (np.zeros_like(P[:n]),)
     if k == 2:
@@ -34,7 +86,7 @@ def ref_betas(k, P, n):
     return (b0, b1, b2)
 
 
-def ref_candidates(k, P, n):
+def quotient_candidates(k, P, n):
     if k == 1:
         return (P[:n],)
     if k == 2:
@@ -47,10 +99,15 @@ def ref_candidates(k, P, n):
     return (p0, p1, p2)
 
 
-def ref_reconstruct_left(k, P, n):
+def quotient_reconstruct_left(k, P, n):
     d = IDEAL_WEIGHTS[k]
-    alphas = [d[l] / (DELTA + b) ** 2 for l, b in enumerate(ref_betas(k, P, n))]
-    return sum(a * p for a, p in zip(alphas, ref_candidates(k, P, n))) / sum(alphas)
+    alphas = [d[l] / (DELTA + b) ** 2 for l, b in enumerate(quotient_betas(k, P, n))]
+    return sum(a * p for a, p in zip(alphas, quotient_candidates(k, P, n))) / sum(alphas)
+
+
+def quotient_flux(P, k, v, h):
+    fhat = quotient_reconstruct_left(k, P, P.shape[0] - 2 * k + 1)
+    return np.abs(v) * (fhat[1:] - fhat[:-1]) / h
 
 
 def ref_pad(sub, k, boundary):
@@ -61,7 +118,7 @@ def ref_pad(sub, k, boundary):
     return np.concatenate([lo, sub, hi], axis=0)
 
 
-def ref_transport(field, k):
+def ref_transport(field, k, flux_of=ref_flux):
     sg, vg = field.sgrid, field.vgrid
     f = field.values
     out = np.zeros_like(f)
@@ -75,9 +132,8 @@ def ref_transport(field, k):
         pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(fa.ndim))
         lines = np.concatenate([fa[neg][::-1], fa[pos]], axis=va)
         P = ref_pad(lines, k, sg.boundaries[a])
-        fhat = ref_reconstruct_left(k, P, P.shape[0] - 2 * k + 1)
-        w = np.abs(speeds).reshape([-1 if i == va else 1 for i in range(fa.ndim)])
-        flux = w * (fhat[1:] - fhat[:-1]) / sg.spacings[a]
+        v = speeds.reshape([-1 if i == va else 1 for i in range(fa.ndim)])
+        flux = flux_of(P, k, v, sg.spacings[a])
         oa[neg][::-1] -= flux[neg]
         oa[pos] -= flux[pos]
     return out
@@ -117,12 +173,22 @@ def test_transport_matches_reference_bitwise(grid, k):
     assert_bitwise(transport_rhs(fld, k, {}), ref_transport(fld, k))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS)
+def test_transport_matches_quotient_form(grid, k):
+    fld = reference_field(grid, 11)
+    quot = ref_transport(fld, k, quotient_flux)
+    # measured: at most 5.6e-16 of max|quot| over these 18 cases (grid 2, k = 2)
+    bound = 1e-15 * np.max(np.abs(quot))
+    assert np.max(np.abs(transport_rhs(fld, k, {}) - quot)) <= bound
+
+
 def test_reference_grid_has_ragged_blocks():
     # work buffers are keyed by (name, shape): on the last reference grid each
     # axis pads full blocks and a shorter last one
     work = {}
     transport_rhs(reference_field(REFERENCE_GRIDS[-1], 0), 2, work)
-    padded = sorted(shape for name, shape in work if name == "P")
+    padded = sorted(key[1] for key in work if key[0] == "P")
     assert [shape[:2] for shape in padded] == [(26, 4), (26, 5), (28, 2), (28, 5)]
 
 
@@ -187,11 +253,18 @@ def column(window, side="left"):
 
 
 def betas(k, window):
-    return tuple(b.item() for b in _betas(k, column(window), 1, {}))
+    """The kernel's beta_l of this window; it forms 4 beta_l for k = 3."""
+    if k == 1:
+        return (0.0,)  # one stencil: no indicator
+    scale = 4.0 if k == 3 else 1.0
+    return tuple(b.item() / scale for b in _betas(k, np.diff(column(window), axis=0), 1, {}))
 
 
 def reconstruct(k, window, side):
-    return _reconstruct_left(k, column(window, side), 1, {}).item()
+    """P_c + g / c_k, with the kernel's g of this window."""
+    P = column(window, side)
+    g = 0.0 if k == 1 else _reconstruct_left(k, np.diff(P, axis=0), 1, {}).item()
+    return P[k - 1, 0].item() + g / _SCALE[k]
 
 
 def weights(k, window):
@@ -282,11 +355,13 @@ def test_weights_approach_ideal_on_smooth_data():
 
 
 def test_transport_constant_field_is_zero():
-    sg = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), ("periodic", "outflow"))
     vg = VelocityGrid(2, 4.0, 6)
-    f = np.full(sg.counts + vg.counts, 0.7)
-    r = transport_rhs(DistributionField(f, sg, vg), 2, {})
-    assert np.all(r == 0.0)
+    for boundaries in (("periodic", "outflow"), ("outflow", "periodic")):
+        sg = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), boundaries)
+        f = np.full(sg.counts + vg.counts, 0.7)
+        for k in (1, 2, 3):
+            r = transport_rhs(DistributionField(f, sg, vg), k, {})
+            assert np.all(r == 0.0)
 
 
 @pytest.mark.parametrize("k,pair,floor", [(1, (64, 128), 0.9), (3, (32, 64), 4.5)])
@@ -347,12 +422,13 @@ def test_outflow_boundary_linear_profile():
     vg = VelocityGrid(1, 2.0, 2)
     x = sg.centers[0]
     f = np.tile((2.0 + 3.0 * x)[:, None], (1, 2))
-    r = transport_rhs(DistributionField(f, sg, vg), 2, {})
-    # interior cells see exact linear reconstruction: rhs = -v * slope
-    interior = slice(3, -3)
-    np.testing.assert_allclose(r[interior, 1], -3.0, rtol=1e-12)
-    np.testing.assert_allclose(r[interior, 0], 3.0, rtol=1e-12)
-    assert np.all(np.isfinite(r))
+    for k in (2, 3):
+        r = transport_rhs(DistributionField(f, sg, vg), k, {})
+        # interior cells see exact linear reconstruction: rhs = -v * slope
+        interior = slice(3, -3)
+        np.testing.assert_allclose(r[interior, 1], -3.0, rtol=1e-12)
+        np.testing.assert_allclose(r[interior, 0], 3.0, rtol=1e-12)
+        assert np.all(np.isfinite(r))
 
 
 def test_transport_axis_pairing_2d():
