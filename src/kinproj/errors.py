@@ -23,4 +23,5 @@ class StepRejectionError(RuntimeError):
 
 
 class DiagnosticError(RuntimeError):
-    """A self-check inside a diagnostic routine failed (e.g. basis Gram test)."""
+    """A self-check inside a diagnostic routine failed (e.g. a non-finite
+    response of the Jacobian probe)."""

@@ -405,23 +405,27 @@ _RUN_OPTIONS = {
 
 def load_config(path):
     """Flat key=value file; '#' starts a comment, blank lines are skipped."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8, ...
+        raise ConfigurationError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or not key:
-                raise ConfigurationError(f"{path}:{lineno}: expected key=value")
-            if key not in _RUN_OPTIONS:
-                raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-            opt = _RUN_OPTIONS[key]
-            try:
-                values[opt.get("dest", key)] = opt.get("type", str)(val)
-            except ValueError as exc:
-                raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if not sep or not key:
+            raise ConfigurationError(f"{path}:{lineno}: expected key=value")
+        if key not in _RUN_OPTIONS:
+            raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        opt = _RUN_OPTIONS[key]
+        try:
+            values[opt.get("dest", key)] = opt.get("type", str)(val)
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}:{lineno}: {exc}") from None
     return values
 
 
@@ -441,6 +445,10 @@ def _resolved_from_args(args):
             opts[dest] = getattr(args, dest)
     scenario = opts.pop("scenario", None)
     out = opts.pop("out", None)
+    if out:  # the output directory, or its nearest existing ancestor, must be a directory
+        near = next(p for p in (Path(out), *Path(out).parents) if p.exists())
+        if not near.is_dir():
+            raise ConfigurationError(f"output directory {out}: {near} is not a directory")
     if not scenario:
         raise ConfigurationError("no scenario given (use --scenario or a config file)")
     return resolve_run(scenario, **opts), out

@@ -13,11 +13,11 @@ interface value fhat_i = P_c + g_i / c_k, c_k = 1, 2, 6 for k = 1, 2, 3, so
 c_k (fhat_{i+1} - fhat_i) = c_k D_c + g_{i+1} - g_i, and the layout's |v|
 columns carry 1 / (c_k h):
 
-- k = 1: g = 0.
-- k = 2: s_j = (DELTA + D_j^2)^2, the weight of stencil 0 in ratio form
-  omega_i = s_i / (s_i + (d_1/d_0) s_{i+1}), and
+- k = 1: g = 0, in `transport_rhs` itself.
+- k = 2 (`_weno3`): s_j = (DELTA + D_j^2)^2, the weight of stencil 0 in
+  ratio form omega_i = s_i / (s_i + (d_1/d_0) s_{i+1}), and
   g_i = D_i + omega_i (D_{i+1} - D_i).
-- k = 3: with E_j = D_{j+1} - D_j, the indicators times 4 are
+- k = 3 (`_weno5`): with E_j = D_{j+1} - D_j, the indicators times 4 are
   4 beta_0 = 13/3 E_c^2 + (E_c - 2 D_c)^2, 4 beta_1 = 13/3 E_{c-1}^2 +
   (D_{c-1} + D_c)^2 and 4 beta_2 = 13/3 E_{c-2}^2 + (E_{c-2} + 2 D_{c-1})^2;
   a_l = d_l / (4 DELTA + 4 beta_l)^2 and g_i = sum a_l q_l / sum a_l over
@@ -30,17 +30,18 @@ cell-value form with the weights' quotient and a divide by h.
 
 The padded lines, differences, indicators, weights, candidates and fluxes
 live in work buffers of one block's size, keyed by name and shape (so each
-axis and a ragged last block get their own) in a plain dict that the caller
-owns and passes to every call: `integrators.make_rhs` makes one per RHS
-closure, so a closure is not safe to share between threads. Reused, they
-stay warm instead of being returned to the operating system and faulted in
-again. The same dict keeps the per-axis layout of the grids (index tuples,
-block slices, |v| / (c_k h) at each block's shape), built on the first call
-for each k. The fluxes are subtracted from the caller's output array, or
-from a new one: Runge-Kutta stages keep earlier slopes and the Jacobian
-probe subtracts two consecutive results, so the output must never alias a
-buffer. Every operation runs in the order of the plain array formulas in the
-comments, so the result is the same bit for bit.
+axis and a ragged last block get their own); a function takes from the dict
+only buffers it writes in that call. The dict is the caller's and goes to
+every call: `integrators.make_rhs` makes one per RHS closure, so a closure is
+not safe to share between threads. Reused, the buffers stay warm instead of
+being returned to the operating system and faulted in again. The same dict
+keeps the per-axis layout of the grids (index tuples, block slices,
+|v| / (c_k h) at each block's shape), built on the first call for each k.
+The fluxes are subtracted from the caller's output array, or from a new one:
+Runge-Kutta stages keep earlier slopes and the Jacobian probe subtracts two
+consecutive results, so the output must never alias a buffer. Every
+operation runs in the order of the plain array formulas in the comments, so
+the result is the same bit for bit.
 
 The buffers and |v| arrays start on a 64-byte boundary (`empty_aligned`): at
 numpy's own placement, 16 or 48 bytes past one, a two-input ufunc into a
@@ -104,70 +105,53 @@ def _buf(work, name, shape):
     return arr
 
 
-def _betas(k, D, n, work):
-    """Smoothness indicators of the n windows from the differences D, as work
-    buffers: D_{i+1}^2 and D_i^2 (row shifts of one buffer) for k = 2, and
-    4 beta_l for k = 3, which leaves 2 D in ``work`` for `_candidates`."""
+def _weno3(D, n, work):
+    """g_i = 2 (fhat_i - P_c) of the n left-biased order-3 windows from the
+    differences D (module notes), as a work buffer."""
+    d = IDEAL_WEIGHTS[2]
+    # s_j = (DELTA + D_j^2)^2 over the n + 1 rows the windows share
+    s = np.square(D[: n + 1], out=_buf(work, "s", (n + 1,) + D.shape[1:]))
+    np.add(DELTA, s, out=s)
+    np.square(s, out=s)
+    # omega_i = s_i / (s_i + (d_1/d_0) s_{i+1}), g_i = D_i + omega_i (D_{i+1} - D_i)
+    om = np.multiply(d[1] / d[0], s[1:], out=_buf(work, "om", s[:n].shape))
+    np.add(s[:n], om, out=om)
+    np.divide(s[:n], om, out=om)
+    g = np.subtract(D[1 : n + 1], D[:n], out=_buf(work, "g", om.shape))
+    np.multiply(om, g, out=g)
+    return np.add(D[:n], g, out=g)
+
+
+def _weno5(D, n, work):
+    """g_i = 6 (fhat_i - P_c) of the n left-biased order-5 windows from the
+    differences D (module notes), as a work buffer."""
+    d = IDEAL_WEIGHTS[3]
     rest = D.shape[1:]
-    if k == 2:
-        sq = np.square(D[: n + 1], out=_buf(work, "sq", (n + 1,) + rest))
-        return (sq[1:], sq[:n])
     E = np.subtract(D[1 : n + 3], D[: n + 2], out=_buf(work, "E", (n + 2,) + rest))
     curv = np.square(E, out=_buf(work, "curv", E.shape))
     np.multiply(13.0 / 3.0, curv, out=curv)
     D2 = np.multiply(2.0, D[: n + 2], out=_buf(work, "D2", E.shape))
-    b0, b1, b2 = (_buf(work, f"b{l}", (n,) + rest) for l in range(3))
-    np.subtract(E[2:], D2[2:], out=b0)  # E_c - 2 D_c
-    np.add(D[1 : n + 1], D[2 : n + 2], out=b1)  # D_{c-1} + D_c
-    np.add(E[:n], D2[1 : n + 1], out=b2)  # E_{c-2} + 2 D_{c-1}
-    for b, c in ((b0, 2), (b1, 1), (b2, 0)):
-        np.square(b, out=b)
-        np.add(curv[c : c + n], b, out=b)
-    return (b0, b1, b2)
-
-
-def _candidates(k, D, n, work):
-    """c_k (p_l - P_c) of each stencil l of the n windows; for k = 3 call
-    after `_betas`, whose doubled differences it reads."""
-    if k == 2:
-        return (D[1 : n + 1], D[:n])
-    D2 = _buf(work, "D2", (n + 2,) + D.shape[1:])
-    q0, q1, q2 = (_buf(work, f"q{l}", D2[:n].shape) for l in range(3))
+    a0, a1, a2 = (_buf(work, f"a{l}", (n,) + rest) for l in range(3))
+    np.subtract(E[2:], D2[2:], out=a0)  # E_c - 2 D_c
+    np.add(D[1 : n + 1], D[2 : n + 2], out=a1)  # D_{c-1} + D_c
+    np.add(E[:n], D2[1 : n + 1], out=a2)  # E_{c-2} + 2 D_{c-1}
+    # 4 beta_l = 13/3 E^2 + (.)^2, then a_l = d_l / (4 DELTA + 4 beta_l)^2
+    for l, (a, c) in enumerate(((a0, 2), (a1, 1), (a2, 0))):
+        np.square(a, out=a)
+        np.add(curv[c : c + n], a, out=a)
+        np.add(4 * DELTA, a, out=a)
+        np.square(a, out=a)
+        np.divide(d[l], a, out=a)
+    q0, q1, q2 = (_buf(work, f"q{l}", a0.shape) for l in range(3))
     np.multiply(4.0, D[2 : n + 2], out=q0)
     np.subtract(q0, D[3 : n + 3], out=q0)  # 4 D_c - D_{c+1}
     np.add(D[1 : n + 1], D2[2:], out=q1)  # D_{c-1} + 2 D_c
     np.multiply(5.0, D[1 : n + 1], out=q2)
     np.subtract(q2, D2[:n], out=q2)  # 5 D_{c-1} - 2 D_{c-2}
-    return (q0, q1, q2)
-
-
-def _reconstruct_left(k, D, n, work):
-    """g_i = c_k (fhat_i - P_c) of the n left-biased windows, k = 2 or 3,
-    from the differences D (module notes), as a work buffer."""
-    d = IDEAL_WEIGHTS[k]
-    betas = _betas(k, D, n, work)
-    qs = _candidates(k, D, n, work)
-    if k == 2:
-        # s = (DELTA + beta)^2 over the shared rows, then omega and g in ratio form
-        sq = _buf(work, "sq", (n + 1,) + D.shape[1:])
-        np.add(DELTA, sq, out=sq)
-        np.square(sq, out=sq)
-        s0, s1 = betas
-        om = np.multiply(d[1] / d[0], s0, out=_buf(work, "om", s0.shape))
-        np.add(s1, om, out=om)
-        np.divide(s1, om, out=om)
-        g = np.subtract(qs[0], qs[1], out=_buf(work, "g", om.shape))
-        np.multiply(om, g, out=g)
-        return np.add(qs[1], g, out=g)
-    # a_l = d_l / (4 DELTA + 4 beta_l)^2 in the betas' memory
-    for l, b in enumerate(betas):
-        np.add(4 * DELTA, b, out=b)
-        np.square(b, out=b)
-        np.divide(d[l], b, out=b)
-    total = np.add(betas[0], betas[1], out=_buf(work, "total", betas[0].shape))
-    np.add(total, betas[2], out=total)
-    num = np.multiply(betas[0], qs[0], out=qs[0])
-    for a, q in zip(betas[1:], qs[1:]):
+    total = np.add(a0, a1, out=_buf(work, "total", a0.shape))
+    np.add(total, a2, out=total)
+    num = np.multiply(a0, q0, out=q0)
+    for a, q in ((a1, q1), (a2, q2)):
         np.multiply(a, q, out=q)
         np.add(num, q, out=num)
     return np.divide(num, total, out=num)
@@ -265,7 +249,7 @@ def transport_rhs(field, k, work, out=None):
             if k == 1:
                 np.multiply(w, Dc, out=flux)
             else:
-                g = _reconstruct_left(k, D, N + 1, work)
+                g = (_weno3 if k == 2 else _weno5)(D, N + 1, work)
                 np.subtract(g[1:], g[:-1], out=flux)
                 np.multiply(_SCALE[k], Dc, out=Dc)
                 np.add(Dc, flux, out=flux)

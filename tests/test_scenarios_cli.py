@@ -335,6 +335,30 @@ def test_config_file_errors(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
+    cfg = tmp_path / "run.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not_utf8":
+        cfg.write_bytes(b"scenario = sod_1d1d\n# \xff\xfe\n")
+    assert main(["plan", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, command, below):
+    # --out is the file itself, or a directory to be made under it
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n", encoding="utf-8")
+    assert main([command, "--scenario", "sod_1d1d", "--out", str(taken / below)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert taken.read_text(encoding="utf-8") == "keep\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
 def test_plan_command(capsys):
     assert main(["plan", "--scenario", "sod_1d1d"]) == 0
     planned = json.loads(capsys.readouterr().out)

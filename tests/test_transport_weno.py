@@ -10,8 +10,8 @@ from kinproj.transport_weno import (
     _SCALE,
     DELTA,
     IDEAL_WEIGHTS,
-    _betas,
-    _reconstruct_left,
+    _weno3,
+    _weno5,
     empty_aligned,
     transport_rhs,
 )
@@ -253,17 +253,18 @@ def column(window, side="left"):
 
 
 def betas(k, window):
-    """The kernel's beta_l of this window; it forms 4 beta_l for k = 3."""
+    """The beta_l of this window by the reference formulas, which the kernel
+    matches bit for bit; they form 4 beta_l for k = 3."""
     if k == 1:
         return (0.0,)  # one stencil: no indicator
     scale = 4.0 if k == 3 else 1.0
-    return tuple(b.item() / scale for b in _betas(k, np.diff(column(window), axis=0), 1, {}))
+    return tuple(b.item() / scale for b in ref_betas(k, np.diff(column(window), axis=0), 1))
 
 
 def reconstruct(k, window, side):
     """P_c + g / c_k, with the kernel's g of this window."""
     P = column(window, side)
-    g = 0.0 if k == 1 else _reconstruct_left(k, np.diff(P, axis=0), 1, {}).item()
+    g = 0.0 if k == 1 else (_weno3 if k == 2 else _weno5)(np.diff(P, axis=0), 1, {}).item()
     return P[k - 1, 0].item() + g / _SCALE[k]
 
 
