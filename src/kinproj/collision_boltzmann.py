@@ -286,7 +286,11 @@ def boltzmann_rhs(field, plan, epsilon):
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     f = field.values
     eq = local_maxwellian(vg, moments(vg, f))
-    out = _q(plan, f)  # (scale/epsilon) * (Q_N(f) - Q_N(eq)) in Q_N(f)'s memory
-    out -= _q(plan, eq)
+    # (scale/epsilon) * (Q_N(f) - Q_N(eq)) in Q_N(f)'s memory, Q_N(eq)
+    # subtracted block by block as each block is computed
+    out = _q(plan, f)
+    flat_out = out.reshape(-1, plan.modes, plan.modes)
+    for idx, block in _blocks(plan, eq):
+        flat_out[idx] -= _q_block(plan, block)
     out *= plan.scale / epsilon
     return out

@@ -77,35 +77,48 @@ def _rk(slope, state, h, lead, tableau):
     has lead = 0, end = y and k = rhs(y); a projective stage takes k as the
     chord of a damped sweep of length lead.
 
-    Each slope is a new array that the loop owns. A stage start is summed
-    in place in its first term, and the step's sum moves through the
-    weighted slopes, each scaled and added to in its own memory after its
-    last use, so the result is the last of them. The states handed to
-    slope are never written to. Every product and sum is the one the
-    formulas above spell out, in their order (a + b is formed as b + a).
-
-    Ending in the newest slope keeps the top of the heap in use: summing
-    into the first slope instead let the allocator give back the memory
-    above it after every step and fault it in again on the next, 3.5 times
-    the minor faults of the bubble2d_bgk benchmark.
+    Each slope is a new array that the loop owns, retired at its last use:
+    right after the last stage start that reads it (its last nonzero
+    a_{s,l}), and after every lower slope, it is scaled and added to in its
+    own memory and becomes the running sum, or is dropped when b_l = 0. So
+    every product and sum is the one the formulas above spell out, in their
+    order (a + b is formed as b + a), the sum ends in the newest slope's
+    memory, and a classic RK4 step holds only the base, the running sum and
+    one stage start while a slope is evaluated. A stage start is summed in
+    place in its first term. The states handed to slope are never written to.
     """
-    base, k = slope(state)
-    slopes = [k]
+    slopes = {}  # index -> slope, for the slopes not yet retired
+    base, slopes[0] = slope(state)
+    out = base
     for s in range(1, tableau.stages):
         c = tableau.c[s]
-        terms = ((w / c) * kl for w, kl in zip(tableau.a[s], slopes) if w != 0.0)
+        terms = ((w / c) * slopes[l] for l, w in enumerate(tableau.a[s, :s]) if w != 0.0)
         y = next(terms)
         for t in terms:
             y += t
         y *= c * h - lead
         y += base
-        slopes.append(slope(y)[1])
-    out = base
-    for w, k in zip(tableau.b, slopes):
-        if w != 0.0:
-            k *= (h - lead) * w
-            k += out
-            out = k
+        out = _retire(slopes, tableau.a[s + 1 :], tableau.b, h - lead, out)
+        slopes[s] = slope(y)[1]
+        del y  # freed before the next stage start is formed
+    return _retire(slopes, tableau.a[tableau.stages :], tableau.b, h - lead, out)
+
+
+def _retire(slopes, readers, b, span, out):
+    """Add span * b_l * k_l to the sum out for each slope l, in ascending
+    order, until one that a row of readers reads; returns the new sum.
+
+    A retired slope leaves slopes, its memory holding the sum (or freed
+    when b_l = 0).
+    """
+    for l in list(slopes):
+        if readers[:, l].any():
+            break
+        if b[l] != 0.0:
+            slopes[l] *= span * b[l]
+            slopes[l] += out
+            out = slopes[l]
+        del slopes[l]
     return out
 
 
@@ -155,12 +168,15 @@ class IntegratorPlan:
 
 def _damped_sweep(rhs, state, plan, level, counts):
     """K[level]+1 steps at `level`; returns (last state, last chord slope)."""
-    prev = state
     cur = state
     for _ in range(plan.K[level] + 1):
         prev = cur
         cur = _level_step(rhs, cur, plan, level, counts)
-    chord = cur - prev
+    if plan.K[level] >= 1 and isinstance(prev, np.ndarray):
+        # prev is a state the sweep made and is done with
+        chord = np.subtract(cur, prev, out=prev)
+    else:
+        chord = cur - prev
     chord /= plan.h[level]
     return cur, chord
 
@@ -187,6 +203,8 @@ def telescopic_step(rhs, state, plan, counts=None, h=None):
 
     counts, if given, is a list indexed by level (innermost first) that gains
     one for every step started at that level, so a rejected step is counted.
+    rhs must return a new array on every call, and a state the step hands
+    to rhs may later hold a chord, so an rhs that keeps its input copies it.
     """
     L = plan.levels
     tb = plan.outer_tableau

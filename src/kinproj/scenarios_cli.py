@@ -6,12 +6,13 @@ and an integrator plan, advances between snapshot times with exact remainder
 landing, and writes round-trip-exact CSV snapshots plus a JSON manifest.
 `describe` builds the one description of a resolved run: `plan` prints it
 with predicted steps per level, and the manifest is it plus the measured
-snapshots, steps per level, wall time and status.
+snapshots, steps per level, wall time, peak resident memory and status.
 """
 
 import argparse
 import json
 import math
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -256,27 +257,33 @@ def initial_field(run):
 
 
 def _advance(rhs, f, duration, plan, counts):
-    """Advance f by duration on the plan's ladder, landing exactly on its end.
+    """Advance f by duration on the plan's ladder, landing exactly on its end,
+    and yield the state after each step.
 
     Whole top-level steps come first. A leftover at least as long as the top
     damping sweep takes one top step of that length, which keeps every lower
     level as planned. A shorter leftover is advanced on the ladder one level
     down, with plain chords as inside a step, and at level 0 by one step of
-    the plan's tableau.
+    the plan's tableau. A caller that rebinds its state to each yielded one
+    holds no state that the next step does not start from.
     """
-    dt = plan.h[-1]
-    n = int(math.floor(duration / dt * (1.0 + 1e-12)))
-    for _ in range(n):
-        f = telescopic_step(rhs, f, plan, counts)
-    rem = duration - n * dt
-    if rem <= _REMAINDER_TOL * dt:
-        return f
-    if plan.levels == 0:
-        counts[0] += 1
-        return rk_step(rhs, f, rem, plan.outer_tableau)
-    if rem >= (plan.K[-1] + 1) * plan.h[-2] * (1.0 + 1e-12):
-        return telescopic_step(rhs, f, plan, counts, rem)
-    return _advance(rhs, f, rem, IntegratorPlan(plan.h[0], plan.K[:-1], plan.M[:-1]), counts)
+    while True:
+        dt = plan.h[-1]
+        n = int(math.floor(duration / dt * (1.0 + 1e-12)))
+        for _ in range(n):
+            f = telescopic_step(rhs, f, plan, counts)
+            yield f
+        rem = duration - n * dt
+        if rem <= _REMAINDER_TOL * dt:
+            return
+        if plan.levels == 0:
+            counts[0] += 1
+            yield rk_step(rhs, f, rem, plan.outer_tableau)
+            return
+        if rem >= (plan.K[-1] + 1) * plan.h[-2] * (1.0 + 1e-12):
+            yield telescopic_step(rhs, f, plan, counts, rem)
+            return
+        duration, plan = rem, IntegratorPlan(plan.h[0], plan.K[:-1], plan.M[:-1])
 
 
 def write_snapshot(path, t, name, sgrid, vgrid, values):
@@ -299,6 +306,13 @@ def write_snapshot(path, t, name, sgrid, vgrid, values):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _peak_rss_mib():
+    """The process's peak resident set size so far, in MiB (ru_maxrss counts
+    KiB on Linux and bytes on macOS)."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def run_simulation(run, out_dir):
     """Integrate to t_end, writing snapshots and a manifest under out_dir."""
     out = Path(out_dir)
@@ -317,15 +331,18 @@ def run_simulation(run, out_dir):
     status, error = "completed", None
     try:
         for i in range(1, len(run.snapshot_times)):
-            f = _advance(run.rhs, f, run.snapshot_times[i] - run.snapshot_times[i - 1],
-                         run.plan, counts)
+            # f follows every step, so the interval's first state is freed
+            for f in _advance(run.rhs, f, run.snapshot_times[i] - run.snapshot_times[i - 1],
+                              run.plan, counts):
+                pass
             snap(i, run.snapshot_times[i], f)
     except StepRejectionError as exc:
         status, error = "rejected", str(exc)
 
     manifest = describe(run)
     manifest.update(snapshots=snap_files, steps_per_level=counts,
-                    wall_time_s=time.perf_counter() - started, status=status)
+                    wall_time_s=time.perf_counter() - started,
+                    peak_rss_mib=_peak_rss_mib(), status=status)
     if error is not None:
         manifest["error"] = error
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
@@ -471,7 +488,8 @@ def _cmd_plan(args):
     counts = [0] * (run.plan.levels + 1)
     times = run.snapshot_times
     for i in range(1, len(times)):
-        _advance(lambda y: 0.0, 0.0, times[i] - times[i - 1], run.plan, counts)
+        for _ in _advance(lambda y: 0.0, 0.0, times[i] - times[i - 1], run.plan, counts):
+            pass
     print(json.dumps(describe(run) | {"steps_per_level": counts}, indent=2))
     return 0
 

@@ -315,6 +315,11 @@ def test_rhs_allocation_budget():
     run = resolve_run("sod_1d1d")
     f = initial_field(run)
     assert warm_peak(lambda: run.rhs(f)) <= allocation_budget(f)
+    # the spectral term holds its result, the Maxwellian M_N[f] and one kernel
+    # block's spectra: Q_N(M_N[f]) is subtracted block by block (2.39 fields)
+    run = resolve_run("double_sod_2d", preset="desk")
+    f = initial_field(run)
+    assert warm_peak(lambda: run.rhs(f)) <= 2.5 * f.nbytes
 
 
 def test_forward_euler_allocation_budget():
@@ -323,6 +328,16 @@ def test_forward_euler_allocation_budget():
     f = initial_field(run)
     step = lambda: rk_step(run.rhs, f, 1e-6, FORWARD_EULER)
     assert warm_peak(step) <= allocation_budget(f)
+
+
+@pytest.mark.parametrize("K,M,fields", [((2,), (10.0,), 5.1), ((3, 3), (4.0, 5.0), 6.1)])
+def test_telescopic_step_retires_fields_at_last_use(K, M, fields):
+    # an RK4 stage holds the base, the running sum and its start, and each
+    # level of the sweep below it one state besides the RHS result: 5.02
+    # fields for prk4 and 6.02 for two-level tprk4
+    u = np.random.default_rng(14).uniform(0.5, 1.5, size=(64, 256))
+    plan = IntegratorPlan(1e-3, K, M, CLASSIC_RK4)
+    assert warm_peak(lambda: telescopic_step(lambda y: -y, u, plan)) <= fields * u.nbytes
 
 
 def test_rhs_total_uniform_maxwellian_vanishes():

@@ -1,6 +1,8 @@
 import inspect
 import json
 import re
+import resource
+import sys
 
 import numpy as np
 import pytest
@@ -94,6 +96,16 @@ def test_rk4_step_count(tmp_path):
     assert manifest["steps_per_level"] == [150]
     assert manifest["speedup"] is None
     assert [s["t"] for s in manifest["snapshots"]] == [0.0, 0.15]
+
+
+def test_manifest_records_peak_rss(tmp_path):
+    assert main(["run", "--scenario", "sod_1d1d", "--t-end", "0",
+                 "--nx", "20", "--nv", "16", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    # the process's peak so far, in MiB, never above the peak read afterwards
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    after /= 2**20 if sys.platform == "darwin" else 2**10
+    assert 0 < manifest["peak_rss_mib"] <= after
 
 
 def test_zero_end_time(tmp_path):
