@@ -306,13 +306,6 @@ def write_snapshot(path, t, name, sgrid, vgrid, values):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _peak_rss_mib():
-    """The process's peak resident set size so far, in MiB (ru_maxrss counts
-    KiB on Linux and bytes on macOS)."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2**20 if sys.platform == "darwin" else 2**10)
-
-
 def run_simulation(run, out_dir):
     """Integrate to t_end, writing snapshots and a manifest under out_dir."""
     out = Path(out_dir)
@@ -339,10 +332,12 @@ def run_simulation(run, out_dir):
     except StepRejectionError as exc:
         status, error = "rejected", str(exc)
 
+    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     manifest = describe(run)
     manifest.update(snapshots=snap_files, steps_per_level=counts,
                     wall_time_s=time.perf_counter() - started,
-                    peak_rss_mib=_peak_rss_mib(), status=status)
+                    peak_rss_mib=peak_rss / (2**20 if sys.platform == "darwin" else 2**10),
+                    status=status)
     if error is not None:
         manifest["error"] = error
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
