@@ -236,21 +236,19 @@ def _q_block(plan, block):
     return gain
 
 
-def _blocks(plan, slices):
-    """Yield (block index slice, block) pairs over the flattened leading axes."""
+def _q(plan, slices, eq=None):
+    """Unit-box collision values (unscaled) for real (..., N, N) slices,
+    less those of eq (slices of the same shape) when given, block by block."""
     n = plan.modes
-    flat = slices.reshape(-1, n, n)
+    out = np.empty(slices.shape)
+    flat, flat_out = slices.reshape(-1, n, n), out.reshape(-1, n, n)
     step = max(1, _BLOCK_NODES // (n * n))
     for i in range(0, flat.shape[0], step):
-        yield slice(i, i + step), flat[i : i + step]
-
-
-def _q(plan, slices):
-    """Unit-box collision values (unscaled) for real (..., N, N) slices."""
-    out = np.empty(slices.shape)
-    flat_out = out.reshape(-1, plan.modes, plan.modes)
-    for idx, block in _blocks(plan, slices):
-        flat_out[idx] = _q_block(plan, block)
+        idx = slice(i, i + step)
+        q = _q_block(plan, flat[idx])
+        if eq is not None:
+            q -= _q_block(plan, eq.reshape(-1, n, n)[idx])
+        flat_out[idx] = q
     return out
 
 
@@ -286,11 +284,6 @@ def boltzmann_rhs(field, plan, epsilon):
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     f = field.values
     eq = local_maxwellian(vg, moments(vg, f))
-    # (scale/epsilon) * (Q_N(f) - Q_N(eq)) in Q_N(f)'s memory, Q_N(eq)
-    # subtracted block by block as each block is computed
-    out = _q(plan, f)
-    flat_out = out.reshape(-1, plan.modes, plan.modes)
-    for idx, block in _blocks(plan, eq):
-        flat_out[idx] -= _q_block(plan, block)
+    out = _q(plan, f, eq)
     out *= plan.scale / epsilon
     return out

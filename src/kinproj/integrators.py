@@ -14,7 +14,7 @@ from .collision_bgk import BgkConfig, bgk_rhs
 from .collision_boltzmann import boltzmann_rhs
 from .errors import ConfigurationError, StepRejectionError
 from .phase_space import DistributionField
-from .transport_weno import check_stencil, transport_rhs
+from .transport_weno import bind, transport_rhs
 
 
 class RKTableau:
@@ -219,37 +219,35 @@ def telescopic_step(rhs, state, plan, counts=None, h=None):
                state, h, lead, tb)
 
 
-def rhs_total(field, weno_k, collision, work):
+def rhs_total(field, transport, collision):
     """Semidiscrete right-hand side: the collision term minus v . grad_x f.
 
-    weno_k is the WENO order index, or None for no transport. collision is a
-    BgkConfig or a (SpectralPlan, epsilon) pair. work is the dict of
-    transport work buffers (see transport_weno). The collision term is a
-    new array, and the transport subtracts its fluxes from it in place.
+    transport is the bound WENO transport (transport_weno.bind), or None for
+    none. collision is a BgkConfig or a (SpectralPlan, epsilon) pair. The
+    collision term is a new array, and the transport subtracts its fluxes
+    from it in place.
     """
     if isinstance(collision, BgkConfig):
         out = bgk_rhs(field, collision)
     else:
         plan, epsilon = collision
         out = boltzmann_rhs(field, plan, epsilon)
-    if weno_k is not None:
-        transport_rhs(field, weno_k, work, out)
+    if transport is not None:
+        transport_rhs(field, transport, out)
     return out
 
 
 def make_rhs(sgrid, vgrid, weno_k, collision):
-    """Bind grids and operators into an array -> array RHS (see rhs_total),
-    checking once that the transport stencil fits the grids (check_stencil).
+    """Bind grids and operators into an array -> array RHS (see rhs_total).
 
-    The closure owns the transport work buffers and the grid layout and
-    reuses them on every call, so use one closure per thread; each call
-    returns a new array.
+    weno_k is the WENO order index, or None for no transport; the transport
+    is bound to the grids once, which rejects grids its stencil does not fit.
+    The closure reuses the transport's work buffers on every call, so use
+    one closure per thread; each call returns a new array.
     """
-    if weno_k is not None:
-        check_stencil(sgrid, vgrid, weno_k)
-    work = {}
+    transport = None if weno_k is None else bind(sgrid, vgrid, weno_k)
 
     def rhs(values):
-        return rhs_total(DistributionField(values, sgrid, vgrid), weno_k, collision, work)
+        return rhs_total(DistributionField(values, sgrid, vgrid), transport, collision)
 
     return rhs

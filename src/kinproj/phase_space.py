@@ -226,8 +226,7 @@ def heat_flux(vgrid, values, mom):
     c2 = np.zeros(cells + vgrid.counts)
     comps = []
     for d in range(vgrid.dv):
-        vd = vgrid.node_component(d).reshape((1,) * len(cells) + vgrid.node_component(d).shape)
-        cd = vd - mom.u[..., d].reshape(cells + pad)
+        cd = vgrid.node_component(d) - mom.u[..., d].reshape(cells + pad)
         comps.append(cd)
         c2 += cd * cd
     q = np.empty(cells + (vgrid.dv,))

@@ -5,7 +5,7 @@ a sign split per node: positive speeds take the left-biased interface value,
 negative speeds the right-biased (mirrored) one. The conservative interface
 difference telescopes, so periodic transport conserves mass to roundoff.
 The scheme fits grids with a velocity component for every spatial axis and
-at least 2k - 1 cells on each, k a key of IDEAL_WEIGHTS (`check_stencil`).
+at least 2k - 1 cells on each, k a key of IDEAL_WEIGHTS (`bind`).
 
 The kernel works on the differences D_j = P_{j+1} - P_j of the padded lines
 P. Window i (P_i .. P_{i+2k-2}) has centre c = i + k - 1 and left-biased
@@ -31,13 +31,11 @@ cell-value form with the weights' quotient and a divide by h.
 The padded lines, differences, indicators, weights, candidates and fluxes
 live in work buffers of one block's size, keyed by name and shape (so each
 axis and a ragged last block get their own); a function takes from the dict
-only buffers it writes in that call. The dict is the caller's and goes to
-every call: `integrators.make_rhs` makes one per RHS closure, so a closure is
-not safe to share between threads. Reused, the buffers stay warm instead of
-being returned to the operating system and faulted in again. The same dict
-keeps the per-axis layout of the grids (index tuples, block slices,
-|v| / (c_k h) at each block's shape), built on the first call for each k.
-The fluxes are subtracted from the caller's output array, or from a new one:
+only buffers it writes in that call. `bind` returns the dict empty, with the
+grids' per-axis layout, and `integrators.make_rhs` binds once per RHS
+closure, so a closure is not safe to share between threads. Reused, the
+buffers stay warm instead of being returned to the operating system and
+faulted in again. The fluxes are subtracted from the caller's output array:
 Runge-Kutta stages keep earlier slopes and the Jacobian probe subtracts two
 consecutive results, so the output must never alias a buffer. Every
 operation runs in the order of the plain array formulas in the comments, so
@@ -70,24 +68,12 @@ DELTA = 1e-6
 # c_k: the kernel forms c_k times the interface values' differences
 _SCALE = {1: 1.0, 2: 2.0, 3: 6.0}
 
-# values per block of transport lines (see transport_rhs). With the difference
-# form, 4,096 / 16,384 beat 8,192 in 1 / 7 of 10 alternating rounds of calls on
+# values per block of transport lines (see bind). With the difference form,
+# 4,096 / 16,384 beat 8,192 in 1 / 7 of 10 alternating rounds of calls on
 # the bubble2d_bgk grid and in 5 / 9 on the dsod2d_spectral grid: 8,192 stays.
 # Blocks cut one cell axis only; cutting bubble2d_bgk's x-axis blocks (25,600
 # values) to 6,400 along a velocity axis as well was slower in 9 of 10 pairs.
 _BLOCK_POINTS = 8192
-
-
-def check_stencil(sgrid, vgrid, k):
-    """Reject grids that the order-k scheme does not fit; `integrators.make_rhs`
-    calls this once per closure."""
-    if k not in IDEAL_WEIGHTS:
-        raise ConfigurationError(f"unsupported reconstruction order k={k}")
-    if vgrid.dv < sgrid.dx_dims:
-        raise ConfigurationError("velocity dimension must cover every transported axis")
-    for a, n in enumerate(sgrid.counts):
-        if n < 2 * k - 1:
-            raise ConfigurationError(f"axis {a}: {n} cells < stencil width {2 * k - 1}")
 
 
 def empty_aligned(shape):
@@ -168,26 +154,32 @@ def _fill_ghosts(P, k, boundary):
         P[n + k :] = P[n + k - 1]
 
 
-def _layout(work, sg, vg, shape, k):
-    """Per-axis layout of a field of this shape on these grids, for order k.
+def bind(sgrid, vgrid, k):
+    """The order-k transport on these grids, as `transport_rhs` takes it:
+    (k, the per-axis layout, an empty dict of work buffers).
 
-    One entry per transported axis: the axis order that brings it to the
-    front, its boundary, the index tuples of the negative- and positive-speed
-    halves, and each block's slice tuple with |v| / (c_k h) at the block's
-    full shape (one aligned array per distinct shape: no broadcast). It is
-    built once and kept in ``work`` under ("layout", shape, k); other grids
-    of the same shape rebuild it.
+    Rejects grids that the scheme does not fit; `integrators.make_rhs`
+    calls this once per closure. The layout has one entry per transported
+    axis: the axis order that brings it to the front, its boundary, the
+    index tuples of the negative- and positive-speed halves, and each
+    block's slice tuple with |v| / (c_k h) at the block's full shape (one
+    aligned array per distinct shape: no broadcast).
     """
-    lay = work.get(("layout", shape, k))
-    if lay is not None and lay[0] is sg and lay[1] is vg:
-        return lay[2]
+    if k not in IDEAL_WEIGHTS:
+        raise ConfigurationError(f"unsupported reconstruction order k={k}")
+    if vgrid.dv < sgrid.dx_dims:
+        raise ConfigurationError("velocity dimension must cover every transported axis")
+    for a, n in enumerate(sgrid.counts):
+        if n < 2 * k - 1:
+            raise ConfigurationError(f"axis {a}: {n} cells < stencil width {2 * k - 1}")
+    shape = sgrid.counts + vgrid.counts
     ndim = len(shape)
     axes = []
-    for a in range(sg.dx_dims):
-        va = sg.dx_dims + a  # array axis of the matching velocity component
+    for a in range(sgrid.dx_dims):
+        va = sgrid.dx_dims + a  # array axis of the matching velocity component
         order = (a,) + tuple(i for i in range(ndim) if i != a)  # np.moveaxis(., a, 0)
         ashape = tuple(shape[i] for i in order)
-        speeds = vg.axes[a]
+        speeds = vgrid.axes[a]
         n_neg = int(np.searchsorted(speeds, 0.0))
         neg = tuple(slice(0, n_neg) if i == va else slice(None) for i in range(ndim))
         pos = tuple(slice(n_neg, None) if i == va else slice(None) for i in range(ndim))
@@ -201,37 +193,31 @@ def _layout(work, sg, vg, shape, k):
             bshape = tuple(min(step, n_b - j) if i == bax else s for i, s in enumerate(ashape))
             if bshape not in full:
                 full[bshape] = np.abs(v, out=empty_aligned(bshape))
-                np.divide(full[bshape], _SCALE[k] * sg.spacings[a], out=full[bshape])
+                np.divide(full[bshape], _SCALE[k] * sgrid.spacings[a], out=full[bshape])
             blocks.append((tuple(slice(j, j + step) if i == bax else slice(None)
                                  for i in range(ndim)), full[bshape]))
-        axes.append((order, sg.boundaries[a], neg, pos, blocks))
-    work[("layout", shape, k)] = (sg, vg, axes)
-    return axes
+        axes.append((order, sgrid.boundaries[a], neg, pos, blocks))
+    return k, axes, {}
 
 
-def transport_rhs(field, k, work, out=None):
-    """-v.grad_x f with upwind WENO interface fluxes of order index k (a key
-    of IDEAL_WEIGHTS), all spatial axes, subtracted from ``out``.
+def transport_rhs(field, transport, out):
+    """-v.grad_x f with upwind WENO interface fluxes on all spatial axes,
+    subtracted from ``out`` in place; returns ``out``.
 
-    A negative speed v is the speed |v| on the mirrored axis, and the
-    right-biased reconstruction is the left-biased one of the mirrored
-    window. So the negative-speed half is reversed along the transported
-    axis and both halves go through one left-biased pass; sign flips are
-    exact, so this is bit-for-bit the two-sided upwind scheme. Lines along
-    the axis are independent and are reconstructed in blocks of about
-    ``_BLOCK_POINTS`` values that keep the stencil temporaries in cache.
-
-    ``work`` is the caller's dict of work buffers and grid layouts (see the
-    module notes). ``out`` is an array of the field's shape that the fluxes
-    are subtracted from in place, and is returned; without it the fluxes
-    are subtracted from a new array of zeros. The grids are ones that
-    `check_stencil` accepts.
+    ``transport`` is what `bind` returned for the field's grids, and its
+    work buffers are reused on every call (see the module notes). ``out`` is
+    an array of the field's shape. A negative speed v is the speed |v| on
+    the mirrored axis, and the right-biased reconstruction is the
+    left-biased one of the mirrored window. So the negative-speed half is
+    reversed along the transported axis and both halves go through one
+    left-biased pass; sign flips are exact, so this is bit-for-bit the
+    two-sided upwind scheme. Lines along the axis are independent and are
+    reconstructed in blocks of about ``_BLOCK_POINTS`` values that keep the
+    stencil temporaries in cache.
     """
+    k, axes, work = transport
     f = field.values
-    if out is None:
-        out = empty_aligned(f.shape)
-        out.fill(0.0)
-    for order, boundary, neg, pos, blocks in _layout(work, field.sgrid, field.vgrid, f.shape, k):
+    for order, boundary, neg, pos, blocks in axes:
         fa, oa = f.transpose(order), out.transpose(order)
         N = fa.shape[0]
         for blk, w in blocks:

@@ -40,7 +40,7 @@ from kinproj.phase_space import (
 from kinproj.planner import plan_levels, speedup
 from kinproj.scenarios_cli import initial_field, resolve_run, run_simulation
 from kinproj.spectrum_probe import jacobian_probe, spectrum
-from kinproj.transport_weno import transport_rhs
+from kinproj.transport_weno import bind, transport_rhs
 
 
 def record(num, ok, detail):
@@ -251,7 +251,7 @@ def test_acceptance_09_transport_order():
         vg = VelocityGrid(1, 2.0, 2)
         x = sg.centers[0]
         f = np.tile(np.sin(2 * np.pi * x)[:, None], (1, 2))
-        r = transport_rhs(DistributionField(f, sg, vg), k, {})
+        r = transport_rhs(DistributionField(f, sg, vg), bind(sg, vg, k), np.zeros(f.shape))
         return np.mean(np.abs(r[:, 1] + 2 * np.pi * np.cos(2 * np.pi * x)))
 
     o2 = math.log2(l1_err(256, 2) / l1_err(512, 2))

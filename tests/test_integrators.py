@@ -18,7 +18,7 @@ from kinproj.integrators import (
 )
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian
 from kinproj.scenarios_cli import initial_field, resolve_run
-from kinproj.transport_weno import transport_rhs
+from kinproj.transport_weno import bind, transport_rhs
 
 MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
 
@@ -346,7 +346,7 @@ def test_rhs_total_uniform_maxwellian_vanishes():
     slice_m = maxwellian(vg, 1.0, [0.0], 1.0)
     field = DistributionField(np.broadcast_to(slice_m, (8, 64)).copy(), sg, vg)
     bgk = BgkConfig("constant", 1.0)
-    total = rhs_total(field, 2, bgk, {})
+    total = rhs_total(field, bind(sg, vg, 2), bgk)
     assert np.abs(total).max() <= 1e-6
 
 
@@ -357,11 +357,12 @@ def test_rhs_total_boltzmann_assembly():
     values = rng.uniform(0.5, 1.0, size=(4, 16, 16))
     field = DistributionField(values, sg, vg)
     plan = SpectralPlan(16, 8.0)
-    total = rhs_total(field, 2, (plan, 0.5), {})
+    total = rhs_total(field, bind(sg, vg, 2), (plan, 0.5))
     # the collision term is the output the transport subtracts its fluxes from
-    manual = transport_rhs(field, 2, {}, boltzmann_rhs(field, plan, 0.5))
+    manual = transport_rhs(field, bind(sg, vg, 2), boltzmann_rhs(field, plan, 0.5))
     assert np.array_equal(total, manual)
-    summed = transport_rhs(field, 2, {}) + boltzmann_rhs(field, plan, 0.5)
+    fluxes = transport_rhs(field, bind(sg, vg, 2), np.zeros(values.shape))
+    summed = fluxes + boltzmann_rhs(field, plan, 0.5)
     assert np.abs(total - summed).max() <= 1e-14 * np.abs(summed).max()
 
 
@@ -372,4 +373,4 @@ def test_rhs_total_collision_only():
     values = rng.uniform(0.5, 1.0, size=(4, 32))
     field = DistributionField(values, sg, vg)
     bgk = BgkConfig("constant", 0.1)
-    assert np.array_equal(rhs_total(field, None, bgk, {}), bgk_rhs(field, bgk))
+    assert np.array_equal(rhs_total(field, None, bgk), bgk_rhs(field, bgk))

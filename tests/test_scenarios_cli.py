@@ -347,6 +347,27 @@ def test_config_file_errors(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv,config,message", [
+    (["run", "--scenario", "sod_1d1d"], None, "no output directory given"),
+    (["plan"], "epsilon = 0.1\n", "no scenario given"),
+    (["run", "--out", "out"], "scenario = sod_1d1d\ncollision = bogus\n", "collision must be"),
+    (["plan"], "scenario = sod_1d1d\nintegrator = bogus\n", "integrator must be"),
+])
+def test_missing_or_unknown_settings_exit_2(tmp_path, monkeypatch, capsys, argv, config, message):
+    # argparse's choices guard the flags, not a config file's values
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == "" and list(cwd.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
 def test_unreadable_config_file_exits_2(tmp_path, capsys, kind):
     cfg = tmp_path / "run.cfg"

@@ -13,7 +13,7 @@ from kinproj.spectrum_probe import (
     spectrum,
     write_spectrum_csv,
 )
-from kinproj.transport_weno import transport_rhs
+from kinproj.transport_weno import bind, transport_rhs
 
 # The analytic linearization of the nu = 1 BGK term at the standard
 # Maxwellian: the reference the probe is checked against, here and in the
@@ -203,7 +203,8 @@ def test_transport_probe_near_imaginary_axis():
     vg = VelocityGrid(1, 8.0, (8,))
     sg = SpatialGrid(0.0, 1.0, (16,), "periodic")
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (16, 8)).copy()
-    rhs = lambda v: transport_rhs(DistributionField(v, sg, vg), 2, {})
+    transport = bind(sg, vg, 2)
+    rhs = lambda v: transport_rhs(DistributionField(v, sg, vg), transport, np.zeros(v.shape))
     lam = spectrum(jacobian_probe(rhs, f)).eigenvalues
     assert lam.real.max() <= 1e-8  # measured 1.8e-14
     assert lam.real.min() <= -1.0  # upwind dissipation

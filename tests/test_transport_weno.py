@@ -12,6 +12,7 @@ from kinproj.transport_weno import (
     IDEAL_WEIGHTS,
     _weno3,
     _weno5,
+    bind,
     empty_aligned,
     transport_rhs,
 )
@@ -166,11 +167,16 @@ def assert_bitwise(a, b):
     assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def transport(fld, k):
+    """The order-k transport of fld alone: bound to its grids, from zeros."""
+    return transport_rhs(fld, bind(fld.sgrid, fld.vgrid, k), np.zeros(fld.values.shape))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("grid", REFERENCE_GRIDS)
 def test_transport_matches_reference_bitwise(grid, k):
     fld = reference_field(grid, 11)
-    assert_bitwise(transport_rhs(fld, k, {}), ref_transport(fld, k))
+    assert_bitwise(transport(fld, k), ref_transport(fld, k))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -180,28 +186,30 @@ def test_transport_matches_quotient_form(grid, k):
     quot = ref_transport(fld, k, quotient_flux)
     # measured: at most 5.6e-16 of max|quot| over these 18 cases (grid 2, k = 2)
     bound = 1e-15 * np.max(np.abs(quot))
-    assert np.max(np.abs(transport_rhs(fld, k, {}) - quot)) <= bound
+    assert np.max(np.abs(transport(fld, k) - quot)) <= bound
 
 
 def test_reference_grid_has_ragged_blocks():
     # work buffers are keyed by (name, shape): on the last reference grid each
     # axis pads full blocks and a shorter last one
-    work = {}
-    transport_rhs(reference_field(REFERENCE_GRIDS[-1], 0), 2, work)
+    fld = reference_field(REFERENCE_GRIDS[-1], 0)
+    _, _, work = bound = bind(fld.sgrid, fld.vgrid, 2)
+    transport_rhs(fld, bound, np.zeros(fld.values.shape))
     padded = sorted(key[1] for key in work if key[0] == "P")
     assert [shape[:2] for shape in padded] == [(26, 4), (26, 5), (28, 2), (28, 5)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_reused_work_matches_fresh(k):
+    # a second call on one bound transport, as in one RHS closure
     for grid in REFERENCE_GRIDS:
-        work = {}
-        first = transport_rhs(reference_field(grid, 1), k, work)
+        f = reference_field(grid, 1)
+        bound = bind(f.sgrid, f.vgrid, k)
+        first = transport_rhs(f, bound, np.zeros(f.values.shape))
         kept = first.copy()
         g = reference_field(grid, 2)
-        second = transport_rhs(g, k, work)
-        assert_bitwise(second, transport_rhs(g, k, {}))
-        assert second is not first
+        second = transport_rhs(g, bound, np.zeros(g.values.shape))
+        assert_bitwise(second, transport(g, k))
         assert_bitwise(first, kept)
 
 
@@ -214,14 +222,11 @@ def test_empty_aligned_shapes():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_work_arrays_are_aligned(k):
-    work = {}
-    out = transport_rhs(reference_field(REFERENCE_GRIDS[-1], 3), k, work)
-    arrays = [out]
-    for key, v in work.items():
-        if key[0] == "layout":  # (sgrid, vgrid, axes): every block's |v|
-            arrays += [w for *_, blocks in v[2] for _, w in blocks]
-        else:
-            arrays.append(v)
+    fld = reference_field(REFERENCE_GRIDS[-1], 3)
+    _, axes, work = bound = bind(fld.sgrid, fld.vgrid, k)
+    transport_rhs(fld, bound, np.zeros(fld.values.shape))
+    # every block's |v| and every work buffer
+    arrays = [w for *_, blocks in axes for _, w in blocks] + list(work.values())
     assert len(arrays) > 10
     assert all(a.ctypes.data % 64 == 0 for a in arrays)
 
@@ -361,7 +366,7 @@ def test_transport_constant_field_is_zero():
         sg = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), boundaries)
         f = np.full(sg.counts + vg.counts, 0.7)
         for k in (1, 2, 3):
-            r = transport_rhs(DistributionField(f, sg, vg), k, {})
+            r = transport(DistributionField(f, sg, vg), k)
             assert np.all(r == 0.0)
 
 
@@ -370,7 +375,7 @@ def test_transport_observed_order(k, pair, floor):
     errs = []
     for N in pair:
         fld, x = sine_field(N, k)
-        r = transport_rhs(fld, k, {})
+        r = transport(fld, k)
         exact = -2 * np.pi * np.cos(2 * np.pi * x)
         errs.append(np.mean(np.abs(r[:, 1] - exact)))
     assert np.log2(errs[0] / errs[1]) >= floor
@@ -379,7 +384,7 @@ def test_transport_observed_order(k, pair, floor):
 def test_transport_upwind_mirror_symmetry():
     # v = -1 node advects the mirrored way: rhs = +2 pi cos for sin data
     fld, x = sine_field(128, 2)
-    r = transport_rhs(fld, 2, {})
+    r = transport(fld, 2)
     exact = 2 * np.pi * np.cos(2 * np.pi * x)
     assert np.mean(np.abs(r[:, 0] - exact)) <= 5e-3
 
@@ -391,7 +396,7 @@ def test_transport_conserves_mass_periodic():
     rng = np.random.default_rng(2)
     prof = 1.0 + 0.5 * np.sin(2 * np.pi * x) + 0.2 * np.cos(4 * np.pi * x)
     f = prof[:, None] * rng.uniform(0.5, 1.0, vg.counts)[None, :]
-    r = transport_rhs(DistributionField(f, sg, vg), 3, {})
+    r = transport(DistributionField(f, sg, vg), 3)
     for j in range(vg.counts[0]):
         scale = np.sum(np.abs(r[:, j])) + 1e-300
         assert abs(np.sum(r[:, j])) / scale <= 1e-12
@@ -406,15 +411,15 @@ def test_upwind_stencil_dependence():
     rng = np.random.default_rng(9)
     f = rng.uniform(0.5, 1.5, sg.counts + vg.counts)
     k = 2
-    base = transport_rhs(DistributionField(f, sg, vg), k, {})
+    base = transport(DistributionField(f, sg, vg), k)
     i = 12
     g = f.copy()
     g[i + k + 1 :, 1] += 10.0  # strictly right of the positive-speed stencil at i
-    pos = transport_rhs(DistributionField(g, sg, vg), k, {})
+    pos = transport(DistributionField(g, sg, vg), k)
     assert pos[i, 1] == base[i, 1]
     g2 = f.copy()
     g2[: i - k, 0] += 10.0  # strictly left of the negative-speed stencil at i
-    neg = transport_rhs(DistributionField(g2, sg, vg), k, {})
+    neg = transport(DistributionField(g2, sg, vg), k)
     assert neg[i, 0] == base[i, 0]
 
 
@@ -424,7 +429,7 @@ def test_outflow_boundary_linear_profile():
     x = sg.centers[0]
     f = np.tile((2.0 + 3.0 * x)[:, None], (1, 2))
     for k in (2, 3):
-        r = transport_rhs(DistributionField(f, sg, vg), k, {})
+        r = transport(DistributionField(f, sg, vg), k)
         # interior cells see exact linear reconstruction: rhs = -v * slope
         interior = slice(3, -3)
         np.testing.assert_allclose(r[interior, 1], -3.0, rtol=1e-12)
@@ -442,13 +447,13 @@ def test_transport_axis_pairing_2d():
     rng = np.random.default_rng(4)
     vmod = rng.uniform(0.5, 1.0, vg.counts)
     f2 = base[:, None, None, None] * np.ones(6)[None, :, None, None] * vmod
-    r2 = transport_rhs(DistributionField(f2, sg, vg), 2, {})
+    r2 = transport(DistributionField(f2, sg, vg), 2)
     for iy in range(1, 6):
         np.testing.assert_array_equal(r2[:, iy], r2[:, 0])
     # against an explicitly assembled 1D/2V equivalent
     sg1 = SpatialGrid((0.0,), (1.0,), 32, "periodic")
     f1 = base[:, None, None] * vmod
-    r1 = transport_rhs(DistributionField(f1, sg1, vg), 2, {})
+    r1 = transport(DistributionField(f1, sg1, vg), 2)
     np.testing.assert_allclose(r2[:, 0], r1, rtol=1e-13, atol=1e-16)
 
 
