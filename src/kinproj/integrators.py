@@ -2,10 +2,11 @@
 
 A projective step damps the stiff transient with K+1 inner forward-Euler
 steps of size h0, then extrapolates the chord of the last inner pair across
-the remaining outer interval. The telescopic variant nests that construction:
-a level-l step is K+1 level-(l-1) steps plus a chord extrapolation, with
-forward Euler at level 0. The outermost level may carry an explicit
-Runge-Kutta tableau whose stage slopes are chords of damped inner sweeps.
+the remaining outer interval. The telescopic variant nests that construction
+with one step at every level: a level-l step is a tableau step whose stage
+slopes are chords of K+1 level-(l-1) steps, and at level 0 a plain one.
+Inner levels use forward Euler, the outermost may carry an explicit
+Runge-Kutta tableau, and M only sets the step ratios.
 """
 
 import numpy as np
@@ -18,23 +19,20 @@ from .transport_weno import bind, transport_rhs
 
 
 class RKTableau:
-    """Explicit Runge-Kutta tableau (a strictly lower triangular)."""
+    """Explicit Runge-Kutta tableau (a strictly lower triangular); the nodes
+    c are the row sums of a, so the first is 0."""
 
-    def __init__(self, a, b, c):
+    def __init__(self, a, b):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.c = np.asarray(c, dtype=float)
         s = self.b.size
-        if self.a.shape != (s, s) or self.c.shape != (s,):
+        if self.a.shape != (s, s):
             raise ConfigurationError("tableau arrays have inconsistent shapes")
         if np.any(np.triu(self.a) != 0.0):
             raise ConfigurationError("tableau must be explicit (strictly lower triangular)")
         if abs(self.b.sum() - 1.0) > 1e-12:
             raise ConfigurationError("tableau weights b must sum to 1")
-        if np.abs(self.a.sum(axis=1) - self.c).max() > 1e-12:
-            raise ConfigurationError("tableau row sums must equal the nodes c")
-        if self.c[0] != 0.0:
-            raise ConfigurationError("the first stage must sit at c = 0")
+        self.c = self.a.sum(axis=1)
         if np.any(self.c[1:] == 0.0):
             # projective stage seeding divides by c_s
             raise ConfigurationError("stages with c = 0 beyond the first are not supported")
@@ -43,7 +41,7 @@ class RKTableau:
         self.stages = s
 
 
-FORWARD_EULER = RKTableau([[0.0]], [1.0], [0.0])
+FORWARD_EULER = RKTableau([[0.0]], [1.0])
 CLASSIC_RK4 = RKTableau(
     [
         [0.0, 0.0, 0.0, 0.0],
@@ -52,7 +50,6 @@ CLASSIC_RK4 = RKTableau(
         [0.0, 0.0, 1.0, 0.0],
     ],
     [1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0],
-    [0.0, 0.5, 0.5, 1.0],
 )
 
 
@@ -142,9 +139,10 @@ def rk_step(rhs, state, h, tableau):
 class IntegratorPlan:
     """Nested step-size ladder h[l+1] = (M[l] + K[l] + 1) * h[l] from h[0] = h0.
 
-    K[l] counts the inner steps (minus the seed step) and M[l] the chord
-    extrapolation factor used to jump the rest of a level-(l+1) step. M is
-    real-valued. levels = len(M); zero levels is plain tableau stepping with h0.
+    A level-(l+1) step's stage slopes are chords of K[l]+1 damped level-l
+    steps; M[l] only sets the step ratio, so the stepping reads h and K.
+    M is real-valued. levels = len(M); zero levels is plain tableau stepping
+    with h0.
     """
 
     def __init__(self, h0, K, M, outer_tableau=FORWARD_EULER):
@@ -166,12 +164,24 @@ class IntegratorPlan:
         self.outer_tableau = outer_tableau
 
 
+def _step(rhs, state, plan, level, counts, h, tableau):
+    """One step of size h at `level`: a plain tableau step at level 0, else
+    `_rk` on the chords of damped sweeps one level down, lead = (K+1)*h_in."""
+    counts[level] += 1
+    if level == 0:
+        return rk_step(rhs, state, h, tableau)
+    lead = (plan.K[level - 1] + 1) * plan.h[level - 1]
+    if not h >= lead:
+        raise ConfigurationError(f"step size {h} is shorter than its damping sweep {lead}")
+    return _rk(lambda y: _damped_sweep(rhs, y, plan, level - 1, counts), state, h, lead, tableau)
+
+
 def _damped_sweep(rhs, state, plan, level, counts):
-    """K[level]+1 steps at `level`; returns (last state, last chord slope)."""
+    """K[level]+1 forward-Euler steps at `level`; returns (last state, last chord slope)."""
     cur = state
     for _ in range(plan.K[level] + 1):
         prev = cur
-        cur = _level_step(rhs, cur, plan, level, counts)
+        cur = _step(rhs, cur, plan, level, counts, plan.h[level], FORWARD_EULER)
     if plan.K[level] >= 1 and isinstance(prev, np.ndarray):
         # prev is a state the sweep made and is done with
         chord = np.subtract(cur, prev, out=prev)
@@ -181,42 +191,24 @@ def _damped_sweep(rhs, state, plan, level, counts):
     return cur, chord
 
 
-def _level_step(rhs, state, plan, level, counts):
-    """One step of size plan.h[level]; inner levels extrapolate the chord."""
-    counts[level] += 1
-    if level == 0:
-        return rk_step(rhs, state, plan.h[0], FORWARD_EULER)
-    cur, chord = _damped_sweep(rhs, state, plan, level - 1, counts)
-    chord *= plan.M[level - 1] * plan.h[level - 1]
-    chord += cur
-    return chord
-
-
 def telescopic_step(rhs, state, plan, counts=None, h=None):
-    """One outermost step of size h (default plan.h[-1]), applying the plan's tableau.
+    """One outermost step of size h (default plan.h[-1]) with the plan's tableau.
 
-    Each stage runs a damped sweep of K+1 steps one level down and takes its
-    chord as the stage slope; `_rk` combines them with lead = (K+1)*h_in, so
-    the extrapolation covers the rest of the outer step (projective
-    Runge-Kutta, Lafitte, Lejon and Samaey 2016). A shorter h, at least the
-    sweep, lands a leftover; M[-1] is never read.
+    Each stage's slope is the chord of a damped sweep of K+1 steps one level
+    down, extrapolated across the rest of the step (projective Runge-Kutta,
+    Lafitte, Lejon and Samaey 2016); each inner level takes the same step
+    with forward Euler. A shorter h lands a leftover; h must be at least
+    the top damping sweep.
 
     counts, if given, is a list indexed by level (innermost first) that gains
     one for every step started at that level, so a rejected step is counted.
     rhs must return a new array on every call, and a state the step hands
     to rhs may later hold a chord, so an rhs that keeps its input copies it.
     """
-    L = plan.levels
-    tb = plan.outer_tableau
-    h = plan.h[-1] if h is None else h
     if counts is None:
-        counts = [0] * (L + 1)
-    counts[L] += 1
-    if L == 0:
-        return rk_step(rhs, state, h, tb)
-    lead = (plan.K[L - 1] + 1) * plan.h[L - 1]
-    return _rk(lambda y: _damped_sweep(rhs, y, plan, L - 1, counts),
-               state, h, lead, tb)
+        counts = [0] * (plan.levels + 1)
+    return _step(rhs, state, plan, plan.levels, counts,
+                 plan.h[-1] if h is None else h, plan.outer_tableau)
 
 
 def rhs_total(field, transport, collision):

@@ -330,7 +330,7 @@ def run_simulation(run, out_dir):
                 pass
             snap(i, run.snapshot_times[i], f)
     except StepRejectionError as exc:
-        status, error = "rejected", str(exc)
+        status, error = "rejected", exc
 
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB; bytes on macOS
     manifest = describe(run)
@@ -339,12 +339,12 @@ def run_simulation(run, out_dir):
                     peak_rss_mib=peak_rss / (2**20 if sys.platform == "darwin" else 2**10),
                     status=status)
     if error is not None:
-        manifest["error"] = error
+        manifest["error"] = str(error)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-    if status == "rejected":
-        raise StepRejectionError(error)
+    if error is not None:
+        raise error
     return manifest
 
 

@@ -20,7 +20,7 @@ from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, ma
 from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.transport_weno import bind, transport_rhs
 
-MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])
+MIDPOINT_RK2 = RKTableau([[0.0, 0.0], [0.5, 0.0]], [0.0, 1.0])
 
 
 def one_level(dt_inner, K, dt_outer, tableau=FORWARD_EULER):
@@ -32,18 +32,15 @@ def test_tableau_validation():
     assert FORWARD_EULER.stages == 1
     assert MIDPOINT_RK2.stages == 2
     assert CLASSIC_RK4.stages == 4
+    assert np.array_equal(CLASSIC_RK4.c, [0.0, 0.5, 0.5, 1.0])  # the row sums of a
     with pytest.raises(ConfigurationError):
-        RKTableau([[0.0]], [0.9], [0.0])  # weights do not sum to 1
+        RKTableau([[0.0]], [0.9])  # weights do not sum to 1
     with pytest.raises(ConfigurationError):
-        RKTableau([[0.0, 0.0], [0.3, 0.0]], [0.0, 1.0], [0.0, 0.5])  # row sum != c
+        RKTableau([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])  # c=0 reused
     with pytest.raises(ConfigurationError):
-        RKTableau([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5], [0.0, 0.0])  # c=0 reused
+        RKTableau([[0.0, 0.5], [0.5, 0.0]], [0.0, 1.0])  # not explicit
     with pytest.raises(ConfigurationError):
-        RKTableau([[0.0, 0.5], [0.5, 0.0]], [0.0, 1.0], [0.0, 0.5])  # not explicit
-    with pytest.raises(ConfigurationError):
-        RKTableau([[0.0, 0.0], [1.5, 0.0]], [0.0, 1.0], [0.0, 1.5])  # c > 1
-    with pytest.raises(ConfigurationError):
-        RKTableau([[0.0]], [1.0], [0.5])  # first stage off origin
+        RKTableau([[0.0, 0.0], [1.5, 0.0]], [0.0, 1.0])  # c > 1
 
 
 def test_forward_euler_scalar():
@@ -111,7 +108,6 @@ def ref_rk_step(rhs, state, h, tableau):
 KUTTA_RK3 = RKTableau(
     [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [-1.0, 2.0, 0.0]],
     [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
-    [0.0, 0.5, 1.0],
 )
 
 
@@ -243,6 +239,34 @@ def test_time_bookkeeping_random_plans():
         h = landing.uniform((ks[-1] + 1) * plan.h[-2], plan.h[-1])
         u = telescopic_step(lambda x: 1.0, 0.0, plan, h=h)
         assert abs(u - h) <= 1e-12 * h
+
+
+def test_telescopic_amplification_matches_recursion():
+    # a level-l step of u' = lam*u multiplies by a_l, where a_0 = 1 + z and
+    # a_l = a^K (a + (h_l/h_{l-1} - K - 1)(a - 1)) with a = a_{l-1}, K = K[l-1]
+    rng = np.random.default_rng(21)
+    for _ in range(1000):
+        levels = int(rng.integers(2, 4))
+        h0 = 10 ** rng.uniform(-4, -1)
+        ks = [int(k) for k in rng.integers(0, 6, size=levels)]
+        plan = IntegratorPlan(h0, ks, rng.uniform(0.0, 20.0, size=levels))
+        z = -1.0 + rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        lam = z / h0
+        a = 1.0 + z
+        for l, k in enumerate(ks, start=1):
+            a = a**k * (a + (plan.h[l] / plan.h[l - 1] - k - 1) * (a - 1.0))
+        got = telescopic_step(lambda u: lam * u, 1.0 + 0.0j, plan)
+        assert abs(got - a) <= 1e-13 * max(1.0, abs(a))
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+def test_telescopic_step_rejects_step_shorter_than_sweep(levels):
+    plan = IntegratorPlan(1e-3, (2,) * levels, (4.0,) * levels)
+    lead = 3 * plan.h[-2]
+    assert math.isfinite(telescopic_step(lambda u: -u, 1.0, plan, h=lead))
+    for h in (lead / 2, 0.0, -0.1, math.nan):
+        with pytest.raises(ConfigurationError, match="damping sweep"):
+            telescopic_step(lambda u: -u, 1.0, plan, h=h)
 
 
 def test_prk4_temporal_order():

@@ -235,8 +235,9 @@ def test_rejected_run_counts_partial_work(tmp_path):
     # the fifth inner step of the first outer step is started and rejected
     run = resolve_run("sod_1d1d", nx=(50,), nv=(32,))
     run.rhs = _CountingRhs(run.rhs, nan_at=5)
-    with pytest.raises(StepRejectionError):
+    with pytest.raises(StepRejectionError, match=r"state index \(0, 0\)") as exc:
         run_simulation(run, tmp_path)
+    assert exc.value.index == (0, 0)  # the step's own rejection, re-raised
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "rejected"
     assert manifest["steps_per_level"] == [5, 1]
