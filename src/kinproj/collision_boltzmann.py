@@ -85,21 +85,24 @@ def _same_to_roundoff(u, v):
 
 
 class SpectralPlan:
-    """Precomputed angular factor tables for one (J, V, N_theta) choice."""
+    """Precomputed angular factor tables for N_theta angles on a velocity
+    grid, which must be square and 2D with an even J >= 8 nodes per axis."""
 
-    def __init__(self, modes, half_width, n_theta=4):
+    def __init__(self, vgrid, n_theta=4):
+        modes = vgrid.counts[0]
+        if vgrid.counts != (modes, modes):
+            raise ConfigurationError(
+                "the spectral collision operator needs a square 2D velocity grid")
         if modes % 2 != 0 or modes < 8:
             raise ConfigurationError(f"modes must be even and >= 8, got {modes}")
         if n_theta < 1:
             raise ConfigurationError(f"n_theta must be >= 1, got {n_theta}")
-        if not half_width > 0:
-            raise ConfigurationError("half_width must be positive")
-        self.modes = int(modes)
-        self.half_width = float(half_width)
+        self.modes = modes
+        self.half_width = vgrid.half_width
         self.n_theta = int(n_theta)
         self.radius = LAMBDA * np.pi
         # physical scaling: 2^(dv-1) b0 kernel constant x (V/pi)^2 box Jacobian
-        self.scale = 2.0 * DEFAULT_B0 * (half_width / np.pi) ** 2
+        self.scale = 2.0 * DEFAULT_B0 * (self.half_width / np.pi) ** 2
 
         freq = np.fft.fftfreq(self.modes, 1.0 / self.modes)  # integer modes, FFT order
         lx = freq[:, None]
@@ -270,16 +273,10 @@ def boltzmann_rhs(field, plan, epsilon):
     with it the seed of the aliasing mode; it does not make Q_N dissipative.
     """
     vg = field.vgrid
-    if vg.dv != 2:
-        raise ConfigurationError("spectral collision operator requires dv = 2")
-    if vg.counts != (plan.modes, plan.modes):
+    if vg.counts != (plan.modes, plan.modes) or not np.isclose(vg.half_width, plan.half_width):
         raise ConfigurationError(
-            f"velocity counts {vg.counts} do not match plan modes {plan.modes}"
-        )
-    if not np.isclose(vg.half_width, plan.half_width):
-        raise ConfigurationError(
-            f"velocity half-width {vg.half_width} does not match plan {plan.half_width}"
-        )
+            f"velocity grid {vg.counts} of half-width {vg.half_width} does not match "
+            f"the plan's ({plan.modes}, {plan.modes}) of half-width {plan.half_width}")
     if not 0 < epsilon < np.inf:
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     f = field.values

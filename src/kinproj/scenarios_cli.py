@@ -23,7 +23,7 @@ import numpy as np
 from .collision_bgk import BgkConfig
 from .collision_boltzmann import SpectralPlan
 from .errors import ConfigurationError, DiagnosticError, StepRejectionError
-from .integrators import CLASSIC_RK4, IntegratorPlan, make_rhs, rk_step, telescopic_step
+from .integrators import IntegratorPlan, make_rhs, rk_step, telescopic_step
 from .phase_space import (SpatialGrid, VelocityGrid, check_state, derived, heat_flux,
                           maxwellian, moments)
 from .planner import INTEGRATORS, ladder, speedup
@@ -196,21 +196,17 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     epsilon = scen.epsilon if epsilon is None else float(epsilon)
     if not 0 < epsilon < math.inf:
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
-    collision_name = collision or scen.collision
+    collision_name = scen.collision if collision is None else collision
     if collision_name == "bgk":
         coll = BgkConfig("constant", epsilon)
     elif collision_name == "bgk-rho":
         coll = BgkConfig("proportional", epsilon)
     elif collision_name == "boltzmann":
-        if vgrid.dv != 2 or vcounts[0] != vcounts[1]:
-            raise ConfigurationError(
-                "the spectral collision operator needs a square 2D velocity grid"
-            )
-        coll = (SpectralPlan(vcounts[0], vgrid.half_width, n_theta=4), epsilon)
+        coll = (SpectralPlan(vgrid), epsilon)
     else:
         raise ConfigurationError(f"collision must be one of {COLLISIONS}, got {collision_name!r}")
 
-    integ = (integrator or scen.integrator).lower()
+    integ = scen.integrator if integrator is None else integrator
     if integ not in INTEGRATORS:
         raise ConfigurationError(f"integrator must be one of {tuple(INTEGRATORS)}, got {integ!r}")
     t_end = scen.t_end if t_end is None else float(t_end)
@@ -349,13 +345,10 @@ def run_simulation(run, out_dir):
 
 
 def describe(run):
-    """The resolved run as manifest.json records it before the first step."""
+    """The resolved run as manifest.json records it before the first step.
+    Every ladder is one h/K/M record with its speedup (one h and 1.0 for
+    plain fe/rk4); the integrator names the tableau."""
     plan = run.plan
-    tableau = "rk4" if plan.outer_tableau is CLASSIC_RK4 else "fe"
-    if plan.levels == 0:
-        plan_info = {"dt": plan.h[0], "tableau": tableau}
-    else:
-        plan_info = {"h": list(plan.h), "K": list(plan.K), "M": list(plan.M), "tableau": tableau}
     return {
         "scenario": run.scenario.name,
         "preset": run.preset,
@@ -375,8 +368,8 @@ def describe(run):
             "half_width": run.vgrid.half_width,
             "counts": list(run.vgrid.counts),
         },
-        "plan": plan_info,
-        "speedup": speedup(plan) if plan.levels else None,
+        "plan": {"h": list(plan.h), "K": list(plan.K), "M": list(plan.M)},
+        "speedup": speedup(plan),
         "t_end": run.t_end,
         "snapshot_times": list(run.snapshot_times),
     }
@@ -416,7 +409,7 @@ _RUN_OPTIONS = {
 
 
 def load_config(path):
-    """Flat key=value file; '#' starts a comment, blank lines are skipped."""
+    """Flat key=value file, every value non-empty; '#' starts a comment, blank lines skipped."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -429,7 +422,7 @@ def load_config(path):
             continue
         key, sep, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if not sep or not key:
+        if not sep or not key or not val:
             raise ConfigurationError(f"{path}:{lineno}: expected key=value")
         if key not in _RUN_OPTIONS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")

@@ -171,7 +171,7 @@ def test_acceptance_06_fast_spectral_oracle():
     t0 = time.perf_counter()
     worst = 0.0
     for n in (8, 16):
-        plan = SpectralPlan(n, 8.0, n_theta=4)
+        plan = SpectralPlan(VelocityGrid(2, 8.0, n), n_theta=4)
         rng = np.random.default_rng(600 + n)
         for _ in range(10):
             s = rng.uniform(0.1, 1.1, size=(n, n))
@@ -188,7 +188,7 @@ def test_acceptance_06_fast_spectral_oracle():
 
 def test_acceptance_07_equilibrium_annihilation():
     vg = VelocityGrid(2, 8.0, (32, 32))
-    plan = SpectralPlan(32, 8.0, n_theta=8)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32), n_theta=8)
     states = [(r, (s, 0.0), T) for r in (0.1, 1.0, 2.0) for s in (0.0, 1.0, 2.0)
               for T in (0.25, 1.0, 2.0)]
     rng = np.random.default_rng(7)
@@ -222,7 +222,7 @@ def test_acceptance_07_equilibrium_annihilation():
 def test_acceptance_08_collision_conservation():
     vg = VelocityGrid(2, 8.0, (32, 32))
     sg = SpatialGrid((0.0,), (1.0,), (2,), "periodic")
-    plan = SpectralPlan(32, 8.0, n_theta=8)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32), n_theta=8)
     f = np.stack([
         maxwellian(vg, 1.0, [0.5, -0.3], 1.2) + maxwellian(vg, 0.6, [-0.8, 0.2], 0.8),
         maxwellian(vg, 1.4, [0.0, 0.9], 1.0) + maxwellian(vg, 0.3, [0.7, 0.4], 1.4),

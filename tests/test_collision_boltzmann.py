@@ -51,7 +51,7 @@ def direct_q(n, half_width, n_theta, b0, s):
 
 def test_profile_constants():
     assert LAMBDA == pytest.approx(2.0 / (3.0 + math.sqrt(2.0)), rel=1e-15)
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     assert plan.radius == pytest.approx(LAMBDA * math.pi, rel=1e-15)
     assert plan.scale == pytest.approx(2.0 * DEFAULT_B0 * (8.0 / math.pi) ** 2, rel=1e-15)
     r = plan.radius
@@ -63,7 +63,7 @@ def test_profile_constants():
 
 
 def test_plan_tables():
-    plan = SpectralPlan(16, 8.0, n_theta=4)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=4)
     two_r = 2.0 * plan.radius
     # the zero mode sees phi(0) = 2R from every angle, in both tables
     assert_allclose(plan.alpha[:, 0, 0], two_r, rtol=1e-15)
@@ -82,14 +82,14 @@ def test_plan_tables():
 
 
 def test_zero_slice_is_exactly_zero():
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     q = boltzmann_q(plan, np.zeros((16, 16)))
     assert np.all(q == 0.0)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_matches_direct_quadrature(n):
-    plan = SpectralPlan(n, 8.0, n_theta=4)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, n), n_theta=4)
     rng = np.random.default_rng(100 + n)
     for _ in range(5):
         s = rng.uniform(0.1, 1.1, size=(n, n))
@@ -100,7 +100,7 @@ def test_matches_direct_quadrature(n):
 
 def test_bilinear_scaling():
     # off-equilibrium slice so q is O(1) and the relative bound is meaningful
-    plan = SpectralPlan(32, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32))
     vg = VelocityGrid(2, 8.0, 32)
     f = 0.6 * maxwellian(vg, 1.0, [1.2, -0.4], 0.9) + 0.4 * maxwellian(vg, 0.8, [-1.0, 0.6], 1.3)
     q = boltzmann_q(plan, f)
@@ -126,7 +126,7 @@ def test_matches_complex_reference(n, n_theta):
     # random slices carry Nyquist content, where the tables' odd parts
     # contribute at 1e-3 of |Q|; the two-Maxwellian slice is smooth but far
     # from equilibrium (at a Maxwellian max|Q| is itself roundoff)
-    plan = SpectralPlan(n, 8.0, n_theta=n_theta)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, n), n_theta=n_theta)
     vg = VelocityGrid(2, 8.0, n)
     rng = np.random.default_rng(40 + n + n_theta)
     two = 0.6 * maxwellian(vg, 1.0, [1.2, -0.4], 0.9) + 0.4 * maxwellian(vg, 0.8, [-1.0, 0.6], 1.3)
@@ -140,7 +140,7 @@ def test_matches_complex_reference(n, n_theta):
 def test_loss_tracks_density():
     # with b0 = 1/(2 pi) the untruncated loss is rho * f; the truncated
     # multiplier agrees at quadrature level (measured 5.7e-3 and 1.0e-3)
-    plan = SpectralPlan(32, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32))
     vg = VelocityGrid(2, 8.0, 32)
     for rho, u, t in [(1.0, [0.0, 0.0], 1.0), (1.3, [0.5, -0.3], 0.7)]:
         f = maxwellian(vg, rho, u, t)
@@ -151,7 +151,7 @@ def test_loss_tracks_density():
 
 def test_collision_invariants():
     # moments {1, v, |v|^2} of Q vanish (measured <= 3e-9 relative at J=32)
-    plan = SpectralPlan(32, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32))
     vg = VelocityGrid(2, 8.0, 32)
     cases = [
         0.6 * maxwellian(vg, 1.0, [1.2, -0.4], 0.9) + 0.4 * maxwellian(vg, 0.8, [-1.0, 0.6], 1.3),
@@ -167,7 +167,7 @@ def test_collision_invariants():
 
 
 def test_equilibrium_annihilation():
-    plan = SpectralPlan(32, 8.0, n_theta=4)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32), n_theta=4)
     vg = VelocityGrid(2, 8.0, 32)
     q = boltzmann_q(plan, maxwellian(vg, 1.0, [0.0, 0.0], 1.0))
     assert np.abs(q).max() <= 1e-5  # measured 6.9e-12
@@ -175,13 +175,13 @@ def test_equilibrium_annihilation():
 
 def test_annihilation_sharpens_with_resolution():
     vg = VelocityGrid(2, 8.0, 64)
-    plan = SpectralPlan(64, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 64))
     q = boltzmann_q(plan, maxwellian(vg, 1.3, [0.5, -0.3], 0.8))
     assert np.abs(q).max() <= 1e-6
 
 
 def test_batch_matches_loop():
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     rng = np.random.default_rng(9)
     batch = rng.uniform(0.1, 1.1, size=(2, 3, 16, 16))
     qb = boltzmann_q(plan, batch)
@@ -201,7 +201,7 @@ def test_batch_matches_loop():
 def test_ragged_blocks_match_loop_at_j32():
     # 19 slices run as kernel blocks of 8, 8 and 3 at J = 32, where the
     # Nyquist-line products have their own row counts
-    plan = SpectralPlan(32, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 32))
     many = np.random.default_rng(11).uniform(0.1, 1.1, size=(19, 32, 32))
     qm = boltzmann_q(plan, many)
     for k in range(19):
@@ -213,7 +213,7 @@ def test_rhs_epsilon_scaling():
     sg = SpatialGrid([0.0], [1.0], [2], "periodic")
     rng = np.random.default_rng(3)
     field = DistributionField(rng.uniform(0.1, 1.1, size=(2, 16, 16)), sg, vg)
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     base = boltzmann_rhs(field, plan, 1.0)
     assert np.array_equal(boltzmann_rhs(field, plan, 0.25), 4.0 * base)
     small = boltzmann_rhs(field, plan, 1e-3)
@@ -225,7 +225,7 @@ def test_rhs_vanishes_at_sampled_maxwellians():
     # steady-state-preserving right-hand side must, by >= 100x (measured
     # 9.6e-7 vs 3.6e-4 for the cooled double-Sod state, 1.0e-11 vs 6.5e-6
     # at rho = T = 1)
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     vg = VelocityGrid(2, 8.0, 16)
     states = [(0.565, (0.35, 0.35), 0.57), (1.0, (0.0, 0.0), 1.0),
               (0.125, (0.0, 0.0), 0.8), (1.0, (0.5, -0.3), 1.2)]
@@ -243,7 +243,7 @@ def test_linearization_margin_at_cooled_maxwellian():
     # guard for the double-Sod desk run (acceptance 12): on the J = 16 grid
     # the linearization keeps a weakly unstable aliasing mode; measured top
     # real part 3.28e-3 for the right-hand side (1.14e-3 for raw Q_N)
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     vg = VelocityGrid(2, 8.0, 16)
     sg = SpatialGrid([0.0], [1.0], [1], "periodic")
     f = maxwellian(vg, np.array([0.565]), np.array([[0.35, 0.35]]), np.array([0.57]))
@@ -253,7 +253,7 @@ def test_linearization_margin_at_cooled_maxwellian():
 
 def test_rhs_rejects_non_positive_temperature():
     # the offending cell is named by its spatial index tuple, on 1D and 2D grids
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     vg = VelocityGrid(2, 8.0, 16)
     cooling = 0.002 * (vg.speed2.reshape(16, 16) > 25.0)  # rho > 0, T < 0
     sg = SpatialGrid([0.0], [1.0], [2], "periodic")
@@ -272,14 +272,16 @@ def test_rhs_rejects_non_positive_temperature():
 
 def test_configuration_errors():
     with pytest.raises(ConfigurationError):
-        SpectralPlan(15, 8.0)  # odd
+        SpectralPlan(VelocityGrid(2, 8.0, 15))  # odd
     with pytest.raises(ConfigurationError):
-        SpectralPlan(4, 8.0)  # too small
+        SpectralPlan(VelocityGrid(2, 8.0, 4))  # too small
     with pytest.raises(ConfigurationError):
-        SpectralPlan(16, 8.0, n_theta=0)
+        SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=0)
     with pytest.raises(ConfigurationError):
-        SpectralPlan(16, -8.0)
-    plan = SpectralPlan(16, 8.0)
+        SpectralPlan(VelocityGrid(1, 8.0, 16))  # 1V
+    with pytest.raises(ConfigurationError):
+        SpectralPlan(VelocityGrid(2, 8.0, (16, 32)))  # not square
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     with pytest.raises(ConfigurationError):
         boltzmann_q(plan, np.ones((16, 8)))
     sg = SpatialGrid([0.0], [1.0], [2], "periodic")
@@ -307,6 +309,6 @@ def test_rhs_requires_finite_epsilon(epsilon):
     # BgkConfig rejects for BGK
     vg = VelocityGrid(2, 8.0, 16)
     sg = SpatialGrid([0.0], [1.0], [1], "periodic")
-    rhs = make_rhs(sg, vg, None, (SpectralPlan(16, 8.0), epsilon))
+    rhs = make_rhs(sg, vg, None, (SpectralPlan(VelocityGrid(2, 8.0, 16)), epsilon))
     with pytest.raises(ConfigurationError, match="positive and finite"):
         rhs(maxwellian(vg, 1.0, [0.0, 0.0], 1.0)[None])

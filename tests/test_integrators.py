@@ -380,7 +380,7 @@ def test_rhs_total_boltzmann_assembly():
     rng = np.random.default_rng(10)
     values = rng.uniform(0.5, 1.0, size=(4, 16, 16))
     field = DistributionField(values, sg, vg)
-    plan = SpectralPlan(16, 8.0)
+    plan = SpectralPlan(VelocityGrid(2, 8.0, 16))
     total = rhs_total(field, bind(sg, vg, 2), (plan, 0.5))
     # the collision term is the output the transport subtracts its fluxes from
     manual = transport_rhs(field, bind(sg, vg, 2), boltzmann_rhs(field, plan, 0.5))

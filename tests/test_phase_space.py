@@ -228,7 +228,7 @@ def test_negative_density_is_rejected_not_vacuum(tmp_path):
     # no vacuum cell, so the collision terms and the snapshot writer reject it
     sg = SpatialGrid((0.0,), (1.0,), 3, "outflow")
     for vg, collide in ((VelocityGrid(1, 8.0, 32), lambda f: bgk_rhs(f, BgkConfig("constant", 1.0))),
-                        (VelocityGrid(2, 8.0, 16), lambda f: boltzmann_rhs(f, SpectralPlan(16, 8.0), 1.0))):
+                        (VelocityGrid(2, 8.0, 16), lambda f: boltzmann_rhs(f, SpectralPlan(VelocityGrid(2, 8.0, 16)), 1.0))):
         m = maxwellian(vg, 1.0, np.zeros(vg.dv), 1.0)
         f = np.stack([m, -0.5 * m, m])
         mom = moments(vg, f)

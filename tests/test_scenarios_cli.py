@@ -1,8 +1,11 @@
 import inspect
 import json
+import os
 import re
 import resource
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import FORWARD_EULER, make_rhs, rk_step
 from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian, moments
+from kinproj.planner import INTEGRATORS
 from kinproj.scenarios_cli import (
     _RUN_OPTIONS,
     build_parser,
@@ -94,7 +98,7 @@ def test_rk4_step_count(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == "completed"
     assert manifest["steps_per_level"] == [150]
-    assert manifest["speedup"] is None
+    assert manifest["speedup"] == 1.0
     assert [s["t"] for s in manifest["snapshots"]] == [0.0, 0.15]
 
 
@@ -136,7 +140,7 @@ def test_manifest_plan_bookkeeping(tmp_path):
     assert manifest["speedup"] == pytest.approx(800.0 / 3.0, rel=1e-12)
     # 4 intervals of 0.0375: 4 full outer steps + 1 remainder landing each
     assert manifest["steps_per_level"] == [240, 20]
-    assert manifest["plan"]["tableau"] == "rk4"
+    assert manifest["integrator"] == "prk4"
     assert manifest["snapshot_times"] == list(np.linspace(0.0, 0.15, 5))
 
 
@@ -353,6 +357,9 @@ def test_config_file_errors(tmp_path):
     (["plan"], "epsilon = 0.1\n", "no scenario given"),
     (["run", "--out", "out"], "scenario = sod_1d1d\ncollision = bogus\n", "collision must be"),
     (["plan"], "scenario = sod_1d1d\nintegrator = bogus\n", "integrator must be"),
+    # an empty value is not the default, and a value's case is its own
+    (["plan"], "scenario = sod_1d1d\ncollision =\n", "expected key=value"),
+    (["plan"], "scenario = sod_1d1d\nintegrator = PRK4\n", "integrator must be"),
 ])
 def test_missing_or_unknown_settings_exit_2(tmp_path, monkeypatch, capsys, argv, config, message):
     # argparse's choices guard the flags, not a config file's values
@@ -410,6 +417,34 @@ def test_plan_command(capsys):
     planned = json.loads(capsys.readouterr().out)
     assert planned["steps_per_level"] == [150]
     assert planned["t_end"] == 0.15
+    # every integrator's ladder is one record: h per level, K and M per level above 0
+    for integrator in INTEGRATORS:
+        assert main(["plan", "--scenario", "sod_1d1d", "--nx", "20", "--nv", "16",
+                     "--integrator", integrator]) == 0
+        planned = json.loads(capsys.readouterr().out)
+        ladder = planned["plan"]
+        assert ladder.keys() == {"h", "K", "M"}
+        assert len(ladder["h"]) == len(ladder["K"]) + 1 == len(ladder["M"]) + 1
+        if integrator in ("fe", "rk4"):
+            assert planned["speedup"] == 1.0
+        else:
+            assert planned["speedup"] > 1.0
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m kinproj.scenarios_cli` exits with main()'s code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "kinproj.scenarios_cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = cli("plan", "--scenario", "sod_1d1d", "--nx", "20", "--nv", "16")
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["scenario"] == "sod_1d1d"
+    done = cli("plan", "--scenario", "nope")
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
+    assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
 
 
 @pytest.mark.parametrize("argv, counts", [
