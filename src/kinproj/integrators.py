@@ -11,8 +11,8 @@ Runge-Kutta tableau, and M only sets the step ratios.
 
 import numpy as np
 
-from .collision_bgk import BgkConfig, bgk_rhs
-from .collision_boltzmann import boltzmann_rhs
+from .collision_bgk import bgk_rhs
+from .collision_boltzmann import SpectralPlan, boltzmann_rhs
 from .errors import ConfigurationError, StepRejectionError
 from .phase_space import DistributionField
 from .transport_weno import bind, transport_rhs
@@ -215,15 +215,16 @@ def rhs_total(field, transport, collision):
     """Semidiscrete right-hand side: the collision term minus v . grad_x f.
 
     transport is the bound WENO transport (transport_weno.bind), or None for
-    none. collision is a BgkConfig or a (SpectralPlan, epsilon) pair. The
+    none. collision is a (term, epsilon) pair: term is a SpectralPlan for the
+    spectral Boltzmann term, else a BGK term's name ("bgk" or "bgk-rho"). The
     collision term is a new array, and the transport subtracts its fluxes
     from it in place.
     """
-    if isinstance(collision, BgkConfig):
-        out = bgk_rhs(field, collision)
+    term, epsilon = collision
+    if isinstance(term, SpectralPlan):
+        out = boltzmann_rhs(field, term, epsilon)
     else:
-        plan, epsilon = collision
-        out = boltzmann_rhs(field, plan, epsilon)
+        out = bgk_rhs(field, term, epsilon)
     if transport is not None:
         transport_rhs(field, transport, out)
     return out
@@ -232,6 +233,7 @@ def rhs_total(field, transport, collision):
 def make_rhs(sgrid, vgrid, weno_k, collision):
     """Bind grids and operators into an array -> array RHS (see rhs_total).
 
+    collision is the (term, epsilon) pair rhs_total takes, for every model.
     weno_k is the WENO order index, or None for no transport; the transport
     is bound to the grids once, which rejects grids its stencil does not fit.
     The closure reuses the transport's work buffers on every call, so use

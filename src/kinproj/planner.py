@@ -39,7 +39,7 @@ def ladder(integrator, h0, h_target, K, levels=None, M=None):
         if L is None:
             # at least one level, so that adapt_M names an infeasible target
             L = max(1, plan_levels(h0, h_target, _LEVEL_FACTOR))
-        M = adapt_M(h0, h_target, K, int(L)) if fixed != 0 else ()
+        M = adapt_M(h0, h_target, K, L) if fixed != 0 else ()
     return IntegratorPlan(h0, (K,) * len(M), M, tableau)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .collision_bgk import BgkConfig
+from .collision_bgk import BGK_TERMS
 from .collision_boltzmann import SpectralPlan
 from .errors import ConfigurationError, DiagnosticError, StepRejectionError
 from .integrators import IntegratorPlan, make_rhs, rk_step, telescopic_step
@@ -29,7 +29,7 @@ from .phase_space import (SpatialGrid, VelocityGrid, check_state, derived, heat_
 from .planner import INTEGRATORS, ladder, speedup
 from .spectrum_probe import probe_run, write_spectrum_csv
 
-COLLISIONS = ("bgk", "bgk-rho", "boltzmann")
+COLLISIONS = BGK_TERMS + ("boltzmann",)
 PRESETS = ("paper", "desk")
 
 # resolved step below this fraction of a full step counts as already landed
@@ -188,8 +188,8 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     if preset not in PRESETS:
         raise ConfigurationError(f"preset must be one of {PRESETS}, got {preset!r}")
     desk = preset == "desk"
-    counts = tuple(nx) if nx else (scen.desk_counts if desk else scen.counts)
-    vcounts = tuple(nv) if nv else (scen.desk_vcounts if desk else scen.vcounts)
+    counts = (scen.desk_counts if desk else scen.counts) if nx is None else tuple(nx)
+    vcounts = (scen.desk_vcounts if desk else scen.vcounts) if nv is None else tuple(nv)
     sgrid = SpatialGrid(scen.lower, scen.upper, counts, scen.boundaries)
     vgrid = VelocityGrid(scen.dv, scen.half_width if half_width is None else half_width, vcounts)
 
@@ -197,14 +197,9 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     if not 0 < epsilon < math.inf:
         raise ConfigurationError(f"epsilon must be positive and finite, got {epsilon}")
     collision_name = scen.collision if collision is None else collision
-    if collision_name == "bgk":
-        coll = BgkConfig("constant", epsilon)
-    elif collision_name == "bgk-rho":
-        coll = BgkConfig("proportional", epsilon)
-    elif collision_name == "boltzmann":
-        coll = (SpectralPlan(vgrid), epsilon)
-    else:
+    if collision_name not in COLLISIONS:
         raise ConfigurationError(f"collision must be one of {COLLISIONS}, got {collision_name!r}")
+    coll = (SpectralPlan(vgrid) if collision_name == "boltzmann" else collision_name, epsilon)
 
     integ = scen.integrator if integrator is None else integrator
     if integ not in INTEGRATORS:
@@ -212,16 +207,17 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     t_end = scen.t_end if t_end is None else float(t_end)
     if not 0 <= t_end < math.inf:
         raise ConfigurationError(f"end time must be non-negative and finite, got {t_end}")
-    n_snap = 5 if snapshots is None else int(snapshots)
+    n_snap = 5 if snapshots is None else snapshots
     if t_end == 0.0:
         snap_times = (0.0,)
     else:
-        if n_snap < 2:
-            raise ConfigurationError("need at least 2 snapshots when t_end > 0")
-        snap_times = tuple(np.linspace(0.0, t_end, n_snap))
+        if not (n_snap >= 2 and n_snap % 1 == 0):
+            raise ConfigurationError(
+                f"snapshots must be a whole number >= 2 when t_end > 0, got {n_snap}")
+        snap_times = tuple(np.linspace(0.0, t_end, int(n_snap)))
 
     dx_min = min(sgrid.spacings)
-    K_ = scen.K if K is None else int(K)
+    K_ = scen.K if K is None else K
     h0_ = epsilon if h0 is None else float(h0)
     if not 0 < h0_ < math.inf:  # min() below would drop a NaN
         raise ConfigurationError(f"inner step must be positive and finite, got {h0_}")

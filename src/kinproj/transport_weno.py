@@ -165,7 +165,7 @@ def bind(sgrid, vgrid, k):
     block's slice tuple with |v| / (c_k h) at the block's full shape (one
     aligned array per distinct shape: no broadcast).
     """
-    if k not in IDEAL_WEIGHTS:
+    if not isinstance(k, int) or k not in IDEAL_WEIGHTS:
         raise ConfigurationError(f"unsupported reconstruction order k={k}")
     if vgrid.dv < sgrid.dx_dims:
         raise ConfigurationError("velocity dimension must cover every transported axis")

@@ -18,7 +18,7 @@ import pytest
 from conftest import ACCEPTANCE
 from test_collision_boltzmann import direct_q
 from test_spectrum_probe import build_linearized_bgk
-from kinproj.collision_bgk import BgkConfig, bgk_rhs
+from kinproj.collision_bgk import bgk_rhs
 from kinproj.errors import DiagnosticError, StepRejectionError
 from kinproj.collision_boltzmann import DEFAULT_B0, SpectralPlan, boltzmann_q
 from kinproj.integrators import (
@@ -231,7 +231,7 @@ def test_acceptance_08_collision_conservation():
     vx, vy = vg.node_component(0), vg.node_component(1)
     e = vg.speed2.reshape(vg.counts)
     rhs_b = np.stack([boltzmann_q(plan, f[i]) for i in range(2)])
-    rhs_g = bgk_rhs(DistributionField(f, sg, vg), BgkConfig("constant", 1.0))
+    rhs_g = bgk_rhs(DistributionField(f, sg, vg), "bgk", 1.0)
     worst = 0.0
     for q in (rhs_g, rhs_b):
         for i in range(2):
@@ -292,7 +292,7 @@ def test_acceptance_11_spectrum_clusters():
     vg = VelocityGrid(1, 8.0, (16,))
     sg = SpatialGrid(0.0, 1.0, (8,), "periodic")
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (8, 16)).copy()
-    rhs = make_rhs(sg, vg, 2, BgkConfig("constant", eps))
+    rhs = make_rhs(sg, vg, 2, ("bgk", eps))
     gap = spectrum(jacobian_probe(rhs, f)).gap_ratio
     elapsed = time.perf_counter() - t0
     ok = dist <= 1e-3 / eps and kernel == 4 and gap >= 10.0 and elapsed <= 120

@@ -306,7 +306,7 @@ def test_configuration_errors():
 @pytest.mark.parametrize("epsilon", [np.inf, np.nan, -1.0])
 def test_rhs_requires_finite_epsilon(epsilon):
     # an infinite epsilon would give an all-zero collision term, which
-    # BgkConfig rejects for BGK
+    # bgk_rhs rejects for BGK
     vg = VelocityGrid(2, 8.0, 16)
     sg = SpatialGrid([0.0], [1.0], [1], "periodic")
     rhs = make_rhs(sg, vg, None, (SpectralPlan(VelocityGrid(2, 8.0, 16)), epsilon))

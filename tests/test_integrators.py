@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kinproj.collision_bgk import BgkConfig, bgk_rhs
+from kinproj.collision_bgk import bgk_rhs
 from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
 from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import (
@@ -369,7 +369,7 @@ def test_rhs_total_uniform_maxwellian_vanishes():
     sg = SpatialGrid([0.0], [1.0], [8], "periodic")
     slice_m = maxwellian(vg, 1.0, [0.0], 1.0)
     field = DistributionField(np.broadcast_to(slice_m, (8, 64)).copy(), sg, vg)
-    bgk = BgkConfig("constant", 1.0)
+    bgk = ("bgk", 1.0)
     total = rhs_total(field, bind(sg, vg, 2), bgk)
     assert np.abs(total).max() <= 1e-6
 
@@ -391,10 +391,15 @@ def test_rhs_total_boltzmann_assembly():
 
 
 def test_rhs_total_collision_only():
-    vg = VelocityGrid(1, 8.0, 32)
+    # every model is one (term, epsilon) pair, handed to its operator as is
     sg = SpatialGrid([0.0], [1.0], [4], "periodic")
     rng = np.random.default_rng(12)
-    values = rng.uniform(0.5, 1.0, size=(4, 32))
-    field = DistributionField(values, sg, vg)
-    bgk = BgkConfig("constant", 0.1)
-    assert np.array_equal(rhs_total(field, None, bgk), bgk_rhs(field, bgk))
+    fields = [DistributionField(rng.uniform(0.5, 1.0, size=(4,) + vg.counts), sg, vg)
+              for vg in (VelocityGrid(1, 8.0, 32), VelocityGrid(2, 8.0, 16))]
+    for field in fields:
+        for term in ("bgk", "bgk-rho"):
+            assert np.array_equal(rhs_total(field, None, (term, 0.1)), bgk_rhs(field, term, 0.1))
+    field, plan = fields[1], SpectralPlan(fields[1].vgrid)
+    assert np.array_equal(rhs_total(field, None, (plan, 0.1)), boltzmann_rhs(field, plan, 0.1))
+    with pytest.raises(ConfigurationError, match="BGK term must be one of"):
+        rhs_total(field, None, ("boltzmann", 0.1))  # a name, not a SpectralPlan

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kinproj.collision_bgk import BgkConfig, bgk_rhs
+from kinproj.collision_bgk import bgk_rhs
 from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
 from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.phase_space import (
@@ -227,7 +227,7 @@ def test_negative_density_is_rejected_not_vacuum(tmp_path):
     # a cell holding -0.5 M has u = 0 and T = 1 from its own moments; it is
     # no vacuum cell, so the collision terms and the snapshot writer reject it
     sg = SpatialGrid((0.0,), (1.0,), 3, "outflow")
-    for vg, collide in ((VelocityGrid(1, 8.0, 32), lambda f: bgk_rhs(f, BgkConfig("constant", 1.0))),
+    for vg, collide in ((VelocityGrid(1, 8.0, 32), lambda f: bgk_rhs(f, "bgk", 1.0)),
                         (VelocityGrid(2, 8.0, 16), lambda f: boltzmann_rhs(f, SpectralPlan(VelocityGrid(2, 8.0, 16)), 1.0))):
         m = maxwellian(vg, 1.0, np.zeros(vg.dv), 1.0)
         f = np.stack([m, -0.5 * m, m])

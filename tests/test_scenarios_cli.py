@@ -10,15 +10,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kinproj.collision_bgk import BgkConfig
+from kinproj.collision_boltzmann import SpectralPlan
 from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.integrators import FORWARD_EULER, make_rhs, rk_step
 from kinproj.phase_space import SpatialGrid, VelocityGrid, maxwellian, moments
 from kinproj.planner import INTEGRATORS
 from kinproj.scenarios_cli import (
     _RUN_OPTIONS,
+    COLLISIONS,
     build_parser,
     catalogue,
+    describe,
     get_scenario,
     initial_field,
     load_config,
@@ -563,7 +565,7 @@ def test_periodic_mass_conservation():
     vg = VelocityGrid(2, 8.0, (30, 30))
     rho, u, T = scen.initial(*np.meshgrid(*sg.centers, indexing="ij"))
     f = maxwellian(vg, rho, u, T)
-    rhs = make_rhs(sg, vg, 2, BgkConfig("constant", scen.epsilon))
+    rhs = make_rhs(sg, vg, 2, ("bgk", scen.epsilon))
     mass0 = f.sum()
     for _ in range(100):
         f = rk_step(rhs, f, scen.epsilon, FORWARD_EULER)
@@ -591,6 +593,32 @@ def test_resolution_override_validation():
         resolve_run("sod_1d1d", t_end=-1.0)
     with pytest.raises(ConfigurationError):
         resolve_run("sod_1d1d", snapshots=1)
+    for grid in ({"nx": ()}, {"nv": ()}):  # empty is given, not the default
+        with pytest.raises(ConfigurationError, match=r"positive counts, got \(\)"):
+            resolve_run("sod_1d1d", **grid)
+    # integer settings reach the owner that checks them untruncated
+    for overrides, message in (({"K": 2.5}, "K must be a nonnegative integer"),
+                               ({"integrator": "tprk4", "levels": 2.5}, "levels must be"),
+                               ({"snapshots": 2.5}, "snapshots must be a whole number"),
+                               ({"weno_k": 2.0}, "unsupported reconstruction order")):
+        with pytest.raises(ConfigurationError, match=message):
+            resolve_run("sod_1d1d", **overrides)
+    assert len(resolve_run("sod_1d1d", snapshots=3.0).snapshot_times) == 3
+
+
+def test_collision_names_are_the_terms():
+    # the names the command line takes are the terms make_rhs takes, with
+    # boltzmann built into the velocity grid's SpectralPlan
+    scen = get_scenario("sod_1d2v")
+    for name in COLLISIONS:
+        run = resolve_run(scen.name, preset="desk", collision=name)
+        term, epsilon = run.collision
+        assert epsilon == scen.epsilon
+        if name == "boltzmann":
+            assert isinstance(term, SpectralPlan) and term.modes == 16
+        else:
+            assert term == name
+        assert describe(run)["collision"] == name
 
 
 def test_double_sod_tuned_plan():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError, DiagnosticError
 from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian, moments
@@ -188,7 +187,7 @@ def test_probe_matches_built_linearization():
     vg = VelocityGrid(2, 8.0, (16, 16))
     sg = SpatialGrid(0.0, 1.0, (1,), "periodic")
     f0 = maxwellian(vg, np.ones(1), np.zeros((1, 2)), np.ones(1))
-    rhs = make_rhs(sg, vg, None, BgkConfig("constant", 1e-3))
+    rhs = make_rhs(sg, vg, None, ("bgk", 1e-3))
     probe = jacobian_probe(rhs, f0)
     op = build_linearized_bgk(vg, 1e-3)
     D = f0.ravel()
@@ -217,7 +216,7 @@ def test_two_cluster_gap_with_transport():
     f = np.broadcast_to(maxwellian(vg, 1.0, np.zeros(1), 1.0), (8, 16)).copy()
 
     def ratio(eps):
-        rhs = make_rhs(sg, vg, 2, BgkConfig("constant", eps))
+        rhs = make_rhs(sg, vg, 2, ("bgk", eps))
         return spectrum(jacobian_probe(rhs, f)).gap_ratio
 
     assert ratio(1e-3) >= 10.0  # measured 42.2, split at 3 fields x 8 cells
@@ -228,7 +227,7 @@ def test_proportional_frequency_spreads_fast_cluster():
     vg = VelocityGrid(1, 8.0, (16,))
     sg = SpatialGrid(0.0, 1.0, (2,), "periodic")
     f = maxwellian(vg, np.array([0.125, 1.0]), np.zeros((2, 1)), np.ones(2))
-    rhs = make_rhs(sg, vg, None, BgkConfig("proportional", 1e-3))
+    rhs = make_rhs(sg, vg, None, ("bgk-rho", 1e-3))
     rep = spectrum(jacobian_probe(rhs, f))
     assert rep.split == 6  # three invariants per cell stay slow
     fast = np.abs(rep.fast)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from kinproj.collision_bgk import BgkConfig
 from kinproj.errors import ConfigurationError
 from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid
@@ -460,13 +459,15 @@ def test_transport_axis_pairing_2d():
 def test_configuration_errors():
     with pytest.raises(ConfigurationError):
         make_rhs(SpatialGrid((0.0,), (1.0,), 8, "periodic"), VelocityGrid(1, 2.0, 2), 4,
-                 BgkConfig("constant", 1.0))
-    bgk = BgkConfig("constant", 1.0)
+                 ("bgk", 1.0))
+    bgk = ("bgk", 1.0)
     sg = SpatialGrid((0.0,), (1.0,), 3, "periodic")
     vg = VelocityGrid(1, 2.0, 2)
     with pytest.raises(ConfigurationError, match="3 cells < stencil width 5"):
         make_rhs(sg, vg, 3, bgk)
     make_rhs(sg, vg, 2, bgk)  # three cells hold the k = 2 stencil
+    with pytest.raises(ConfigurationError, match="unsupported reconstruction order k=2.0"):
+        make_rhs(sg, vg, 2.0, bgk)  # an order is an int, not a whole float
     sg2 = SpatialGrid((0.0, 0.0), (1.0, 1.0), (8, 8), "periodic")
     with pytest.raises(ConfigurationError, match="velocity dimension"):
         make_rhs(sg2, vg, 2, bgk)  # no velocity component along y
