@@ -14,8 +14,8 @@ BGK_TERMS = ("bgk", "bgk-rho")
 
 
 def bgk_rhs(field, term, epsilon):
-    """(nu/eps)(maxwellian(moments(f)) - f) for the named term; vacuum cells
-    contribute zero."""
+    """(nu/eps)(maxwellian(moments(f)) - f) for the named term; a cell
+    without mass is rejected with the other non-physical states."""
     if term not in BGK_TERMS:
         raise ConfigurationError(f"BGK term must be one of {BGK_TERMS}, got {term!r}")
     if not 0 < epsilon < np.inf:
@@ -29,6 +29,4 @@ def bgk_rhs(field, term, epsilon):
         out *= 1.0 / epsilon
     else:
         out *= mom.rho.reshape(mom.rho.shape + (1,) * vg.dv) / epsilon
-    if mom.degenerate.any():
-        out[mom.degenerate] = 0.0
     return out

@@ -95,11 +95,11 @@ class SpectralPlan:
                 "the spectral collision operator needs a square 2D velocity grid")
         if modes % 2 != 0 or modes < 8:
             raise ConfigurationError(f"modes must be even and >= 8, got {modes}")
-        if n_theta < 1:
-            raise ConfigurationError(f"n_theta must be >= 1, got {n_theta}")
+        if not (n_theta >= 1 and n_theta % 1 == 0):
+            raise ConfigurationError(f"n_theta must be a whole number >= 1, got {n_theta}")
         self.modes = modes
         self.half_width = vgrid.half_width
-        self.n_theta = int(n_theta)
+        self.n_theta = n_theta = int(n_theta)
         self.radius = LAMBDA * np.pi
         # physical scaling: 2^(dv-1) b0 kernel constant x (V/pi)^2 box Jacobian
         self.scale = 2.0 * DEFAULT_B0 * (self.half_width / np.pi) ** 2

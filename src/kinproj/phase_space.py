@@ -12,18 +12,14 @@ import numpy as np
 
 from .errors import ConfigurationError, StepRejectionError
 
-# Density magnitude up to which a cell is treated as vacuum: moments fall back
-# to (u, T) = (0, 1) and the cell is flagged so collision terms can skip it.
-RHO_FLOOR = 1e-14
-
 
 def _as_counts(counts, dims):
     if np.isscalar(counts):
         counts = (counts,) * dims
-    counts = tuple(int(c) for c in counts)
-    if len(counts) != dims or any(c < 1 for c in counts):
+    counts = tuple(counts)
+    if len(counts) != dims or any(not (c >= 1 and c % 1 == 0) for c in counts):
         raise ConfigurationError(f"need {dims} positive counts, got {counts!r}")
-    return counts
+    return tuple(int(c) for c in counts)
 
 
 class VelocityGrid:
@@ -114,19 +110,19 @@ class DistributionField:
 
 @dataclass
 class MomentSet:
-    """Density, bulk velocity, temperature per cell, plus a vacuum-cell flag."""
+    """Density, bulk velocity and temperature per cell."""
 
     rho: np.ndarray
     u: np.ndarray  # shape (*cells, dv)
     T: np.ndarray
-    degenerate: np.ndarray  # bool mask of floored cells
 
 
 def maxwellian(vgrid, rho, u, T):
     """Maxwellian slice(s) rho/(2 pi T)^(dv/2) * exp(-|v-u|^2 / (2T)).
 
-    rho and T may be scalars or arrays over leading cell axes; u adds a
-    trailing component axis of length dv. Output shape is cells + counts.
+    rho and T may be scalars or arrays over leading cell axes; u has the
+    same cell axes and ends in a component axis of length dv. Output shape
+    is cells + counts.
 
     The exponential is taken per axis, exp(-|v-u|^2/2T) = prod_d
     exp(-(v_d-u_d)^2/2T), on (*cells, J_d) factors; the first factor carries
@@ -136,8 +132,6 @@ def maxwellian(vgrid, rho, u, T):
     rho = np.asarray(rho, dtype=float)
     T = np.asarray(T, dtype=float)
     u = np.asarray(u, dtype=float)
-    if u.shape[-1:] != (vgrid.dv,):
-        u = u.reshape(rho.shape + (vgrid.dv,))
     # one scan per bound; a NaN fails every comparison
     if not (rho.min() >= 0 and rho.max() < np.inf and T.min() > 0 and T.max() < np.inf
             and np.isfinite(u).all()):
@@ -168,15 +162,15 @@ def maxwellian(vgrid, rho, u, T):
 def check_state(mom):
     """Reject a non-physical state.
 
-    A non-vacuum cell whose temperature or density is not positive or not
-    finite is one: StepRejectionError names the first such cell by its
-    spatial index tuple, temperature first.
+    A cell whose temperature or density is not positive or not finite is
+    one, a cell without mass (T = 0/0) included: StepRejectionError names
+    the first such cell by its spatial index tuple, temperature first.
     """
     # one combined test for the all-good case; a NaN fails every comparison
     if ((mom.rho > 0) & (mom.rho < np.inf) & (mom.T > 0) & (mom.T < np.inf)).all():
         return
     for name, q in (("temperature", mom.T), ("density", mom.rho)):
-        bad = ~mom.degenerate & ~((q > 0) & (q < np.inf))
+        bad = ~((q > 0) & (q < np.inf))
         if bad.any():
             idx = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
             kind = "non-positive" if q[idx] <= 0 else "non-finite"
@@ -184,21 +178,18 @@ def check_state(mom):
 
 
 def local_maxwellian(vgrid, mom):
-    """Maxwellian rebuilt from discrete moments; vacuum cells get a zero slice.
-
-    Rejects a non-physical state first (see check_state).
-    """
+    """Maxwellian rebuilt from discrete moments, after check_state has
+    rejected a non-physical state."""
     check_state(mom)
-    rho = np.where(mom.degenerate, 0.0, mom.rho)
-    return maxwellian(vgrid, rho, mom.u, mom.T)
+    return maxwellian(vgrid, mom.rho, mom.u, mom.T)
 
 
 def moments(vgrid, values):
     """Midpoint-quadrature (rho, u, T) of distribution values.
 
     Leading axes of ``values`` are cells; the trailing dv axes must match
-    vgrid.counts. Cells with |rho| <= RHO_FLOOR get (u, T) = (0, 1) and are
-    flagged degenerate; check_state rejects a more negative density.
+    vgrid.counts. A cell without mass gets non-finite (u, T), which
+    check_state rejects, and no warning.
     """
     dv = vgrid.dv
     cells = values.shape[: values.ndim - dv]
@@ -207,15 +198,11 @@ def moments(vgrid, values):
     # doubled the CPU time of the bubble2d_bgk benchmark
     m = values.reshape(cells + (vgrid.n_nodes,)) @ vgrid.moment_matrix
     rho = m[..., 0]
-    degenerate = np.abs(rho) <= RHO_FLOOR
-    # per unit mass: [1, u, mean |v|^2]; vacuum cells divide by 1
-    r = m / np.where(degenerate, 1.0, rho)[..., None]
-    u = r[..., 1 : dv + 1]
-    T = (r[..., dv + 1] - (u * u).sum(axis=-1)) / dv
-    if degenerate.any():
-        u = np.where(degenerate[..., None], 0.0, u)
-        T = np.where(degenerate, 1.0, T)
-    return MomentSet(rho=rho, u=u, T=T, degenerate=degenerate)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = m / rho[..., None]  # per unit mass: [1, u, mean |v|^2]
+        u = r[..., 1 : dv + 1]
+        T = (r[..., dv + 1] - (u * u).sum(axis=-1)) / dv
+    return MomentSet(rho=rho, u=u, T=T)
 
 
 def heat_flux(vgrid, values, mom):

@@ -312,9 +312,9 @@ def run_simulation(run, out_dir):
         write_snapshot(out / fname, t, run.scenario.name, run.sgrid, run.vgrid, state)
         snap_files.append({"file": fname, "t": t})
 
-    snap(0, run.snapshot_times[0], f)
     status, error = "completed", None
     try:
+        snap(0, run.snapshot_times[0], f)
         for i in range(1, len(run.snapshot_times)):
             # f follows every step, so the interval's first state is freed
             for f in _advance(run.rhs, f, run.snapshot_times[i] - run.snapshot_times[i - 1],

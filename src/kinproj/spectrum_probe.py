@@ -97,7 +97,7 @@ def probe_run(run, f):
     cells = dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
                           for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin))
     rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)
-    return [(c, MomentSet(mom.rho[c], mom.u[c], mom.T[c], mom.degenerate[c]),
+    return [(c, MomentSet(mom.rho[c], mom.u[c], mom.T[c]),
              spectrum(jacobian_probe(rhs, f[c][None]))) for c in cells]
 
 

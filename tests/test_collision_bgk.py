@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kinproj.collision_bgk import bgk_rhs
-from kinproj.errors import ConfigurationError
+from kinproj.collision_boltzmann import SpectralPlan, boltzmann_rhs
+from kinproj.errors import ConfigurationError, StepRejectionError
 from kinproj.phase_space import (
     DistributionField,
     SpatialGrid,
@@ -13,6 +14,7 @@ from kinproj.phase_space import (
     maxwellian,
     moments,
 )
+from kinproj.scenarios_cli import write_snapshot
 
 
 def one_cell_field(vg, slice_values):
@@ -58,23 +60,22 @@ def test_scaling_closure():
     assert np.max(np.abs(r)) <= 1e-6
 
 
-def test_zero_field_gives_zero_rhs():
-    vg = VelocityGrid(2, 8.0, 16)
-    f = one_cell_field(vg, np.zeros(vg.counts))
-    r = bgk_rhs(f, "bgk-rho", 1e-2)
-    assert np.all(r == 0.0)
-
-
-def test_vacuum_cells_skipped_and_flagged():
-    vg = VelocityGrid(1, 8.0, 32)
+def test_zero_mass_cell_is_rejected(tmp_path):
+    # a cell without mass has no Maxwellian of its own moments (T = 0/0):
+    # both BGK terms, the spectral term and the snapshot writer reject it
+    # by name, among cells with mass
     sg = SpatialGrid((0.0,), (1.0,), 3, "outflow")
-    vals = np.zeros(sg.counts + vg.counts)
-    vals[1] = maxwellian(vg, 1.0, [0.5], 0.5)
+    vg = VelocityGrid(2, 8.0, 16)
+    vals = np.stack([maxwellian(vg, 1.0, [0.5, 0.0], 0.5)] * 3)
+    vals[1] = 0.0
     fld = DistributionField(vals, sg, vg)
-    r = bgk_rhs(fld, "bgk", 1e-2)
-    assert np.all(r[0] == 0.0) and np.all(r[2] == 0.0)
-    assert np.any(r[1] != 0.0)
-    assert np.all(np.isfinite(r))
+    for collide in (lambda f: bgk_rhs(f, "bgk", 1e-2), lambda f: bgk_rhs(f, "bgk-rho", 1e-2),
+                    lambda f: boltzmann_rhs(f, SpectralPlan(vg), 1e-2),
+                    lambda f: write_snapshot(tmp_path / "snap.csv", 0.0, "demo", sg, vg, f.values)):
+        with pytest.raises(StepRejectionError, match=r"non-finite temperature in cell \(1,\)") as exc:
+            collide(fld)
+        assert exc.value.index == (1,)
+    assert not (tmp_path / "snap.csv").exists()
 
 
 def test_collision_invariants_bimodal():

@@ -277,6 +277,8 @@ def test_configuration_errors():
         SpectralPlan(VelocityGrid(2, 8.0, 4))  # too small
     with pytest.raises(ConfigurationError):
         SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=0)
+    with pytest.raises(ConfigurationError, match="n_theta must be a whole number"):
+        SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=4.5)  # not truncated to 4
     with pytest.raises(ConfigurationError):
         SpectralPlan(VelocityGrid(1, 8.0, 16))  # 1V
     with pytest.raises(ConfigurationError):

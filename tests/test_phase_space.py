@@ -82,7 +82,7 @@ def test_maxwellian_matches_direct_formula(dv, counts):
     g = VelocityGrid(dv, 8.0, counts)
     rng = np.random.default_rng(5)
     rho = rng.uniform(0.1, 2.0, size=(3, 2))
-    rho[1, 0] = 0.0  # a vacuum cell
+    rho[1, 0] = 0.0  # a zero slice
     u = rng.uniform(-1.0, 1.0, size=(3, 2, dv))
     T = rng.uniform(0.5, 1.5, size=(3, 2))
     ref = direct_maxwellian(g, rho, u, T)
@@ -153,16 +153,15 @@ def test_moments_vectorize_over_cells():
 @pytest.mark.parametrize("dv, counts", [(1, 40), (2, (16, 12))])
 def test_moments_match_direct_sums_per_cell(dv, counts):
     # one matrix product against the plain weighted sums, per cell, with
-    # the temperature from the centered second moment; cell 2 is vacuum
+    # the temperature from the centered second moment
     g = VelocityGrid(dv, 8.0, counts)
     rng = np.random.default_rng(7)
     f = rng.uniform(0.01, 1.0, size=(4,) + g.counts)
     f[:, ::3] *= 0.1  # uneven slices give a nonzero bulk velocity
-    f[2] = 0.0
     mom = moments(g, f)
     w = g.weight
     v = [g.node_component(d) for d in range(dv)]
-    for i in (0, 1, 3):
+    for i in range(4):
         rho = w * np.sum(f[i])
         u = np.array([w * np.sum(v[d] * f[i]) / rho for d in range(dv)])
         c2 = sum((v[d] - u[d]) ** 2 for d in range(dv))
@@ -170,9 +169,6 @@ def test_moments_match_direct_sums_per_cell(dv, counts):
         assert mom.rho[i] == pytest.approx(rho, rel=1e-14)
         np.testing.assert_allclose(mom.u[i], u, rtol=1e-14, atol=1e-14 * np.sqrt(T))
         assert mom.T[i] == pytest.approx(T, rel=1e-14)
-        assert not mom.degenerate[i]
-    assert mom.degenerate[2] and mom.rho[2] == 0.0
-    assert np.all(mom.u[2] == 0.0) and mom.T[2] == 1.0
 
 
 def test_heat_flux_direct_sum_oracle():
@@ -201,38 +197,38 @@ def test_derived_quantities():
         rho=np.array(16.0 / 7.0),
         u=np.array([np.sqrt(5.0 / 3.0) * 7.0 / 16.0, 0.0]),
         T=np.array(133.0 / 64.0),
-        degenerate=np.array(False),
     )
     P, E, Ma = derived(mom)
     assert P == 4.75
     assert E == pytest.approx(0.5 * (16 / 7) * (5 / 3) * (7 / 16) ** 2 + 4.75, rel=1e-15)
     mom2 = MomentSet(
-        rho=np.array(2.0), u=np.array([-0.5, 0.0]), T=np.array(1.0), degenerate=np.array(False)
+        rho=np.array(2.0), u=np.array([-0.5, 0.0]), T=np.array(1.0)
     )
     P2, E2, Ma2 = derived(mom2)
     assert P2 == 2.0 and E2 == 2.25 and Ma2 == 0.5
 
 
-def test_degenerate_cells_are_flagged_and_floored():
+def test_zero_mass_cell_has_non_finite_temperature():
+    # a cell's moments are its quadrature: no mass gives T = 0/0, which
+    # check_state rejects; the division warns nothing (warnings are errors)
     g = VelocityGrid(2, 8.0, 16)
     f = np.zeros((2,) + g.counts)
     f[1] = maxwellian(g, 1.0, [0.0, 0.0], 1.0)
     mom = moments(g, f)
-    assert bool(mom.degenerate[0]) and not bool(mom.degenerate[1])
-    assert np.all(mom.u[0] == 0.0) and mom.T[0] == 1.0
-    assert np.isfinite(mom.T).all()
+    assert mom.rho[0] == 0.0 and not np.isfinite(mom.T[0])
+    assert np.isfinite(mom.T[1]) and np.isfinite(mom.u[1]).all()
 
 
 def test_negative_density_is_rejected_not_vacuum(tmp_path):
-    # a cell holding -0.5 M has u = 0 and T = 1 from its own moments; it is
-    # no vacuum cell, so the collision terms and the snapshot writer reject it
+    # a cell holding -0.5 M has u = 0 and T = 1 from its own moments; the
+    # collision terms and the snapshot writer reject its density
     sg = SpatialGrid((0.0,), (1.0,), 3, "outflow")
     for vg, collide in ((VelocityGrid(1, 8.0, 32), lambda f: bgk_rhs(f, "bgk", 1.0)),
                         (VelocityGrid(2, 8.0, 16), lambda f: boltzmann_rhs(f, SpectralPlan(VelocityGrid(2, 8.0, 16)), 1.0))):
         m = maxwellian(vg, 1.0, np.zeros(vg.dv), 1.0)
         f = np.stack([m, -0.5 * m, m])
         mom = moments(vg, f)
-        assert mom.rho[1] == pytest.approx(-0.5) and not mom.degenerate.any()
+        assert mom.rho[1] == pytest.approx(-0.5)
         with pytest.raises(StepRejectionError, match=r"non-positive density in cell \(1,\)") as exc:
             collide(DistributionField(f, sg, vg))
         assert exc.value.index == (1,)
@@ -243,15 +239,14 @@ def test_negative_density_is_rejected_not_vacuum(tmp_path):
 
 
 def test_non_finite_moments_are_rejected():
-    # an infinite or NaN temperature or density in a non-vacuum cell is a
+    # an infinite or NaN temperature or density in any cell is a
     # rejected step naming the cell, not a ValueError from maxwellian
     vg = VelocityGrid(1, 8.0, 16)
     for name, q, value, kind in (("T", "temperature", np.inf, "non-finite"),
                                  ("T", "temperature", np.nan, "non-finite"),
                                  ("rho", "density", np.inf, "non-finite"),
                                  ("T", "temperature", -np.inf, "non-positive")):
-        mom = MomentSet(rho=np.ones(3), u=np.zeros((3, 1)), T=np.ones(3),
-                        degenerate=np.zeros(3, dtype=bool))
+        mom = MomentSet(rho=np.ones(3), u=np.zeros((3, 1)), T=np.ones(3))
         getattr(mom, name)[2] = value
         with pytest.raises(StepRejectionError, match=rf"{kind} {q} in cell \(2,\)") as exc:
             local_maxwellian(vg, mom)

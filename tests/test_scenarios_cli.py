@@ -433,13 +433,14 @@ def test_plan_command(capsys):
             assert planned["speedup"] > 1.0
 
 
-def test_module_entry_point_exit_codes():
-    # `python -m kinproj.scenarios_cli` exits with main()'s code
+def test_module_entry_point_exit_codes(tmp_path):
+    # `python -m kinproj.scenarios_cli` exits with main()'s code; any
+    # warning on the way is an error
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
     def cli(*argv):
-        return subprocess.run([sys.executable, "-m", "kinproj.scenarios_cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
+        return subprocess.run([sys.executable, "-W", "error", "-m", "kinproj.scenarios_cli",
+                               *argv], capture_output=True, text=True, env=env, timeout=120)
 
     done = cli("plan", "--scenario", "sod_1d1d", "--nx", "20", "--nv", "16")
     assert done.returncode == 0
@@ -447,6 +448,16 @@ def test_module_entry_point_exit_codes():
     done = cli("plan", "--scenario", "nope")
     assert done.returncode == 2 and done.stderr.startswith("error: ")
     assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
+    # 8 nodes on [-1e6, 1e6] sample nothing of the initial Maxwellians: every
+    # cell has zero mass, and the state is rejected at t = 0 with a manifest
+    out = tmp_path / "zero_mass"
+    done = cli("run", "--scenario", "sod_1d1d", "--nx", "5", "--nv", "8",
+               "--half-width", "1e6", "--t-end", "1e-4", "--out", str(out))
+    assert done.returncode == 3 and done.stderr.startswith("step rejected: ")
+    assert "RuntimeWarning" not in done.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "rejected" and manifest["snapshots"] == []
+    assert manifest["steps_per_level"] == [0, 0]
 
 
 @pytest.mark.parametrize("argv, counts", [
@@ -595,6 +606,9 @@ def test_resolution_override_validation():
         resolve_run("sod_1d1d", snapshots=1)
     for grid in ({"nx": ()}, {"nv": ()}):  # empty is given, not the default
         with pytest.raises(ConfigurationError, match=r"positive counts, got \(\)"):
+            resolve_run("sod_1d1d", **grid)
+    for grid in ({"nx": (20.5,)}, {"nv": (16.9,)}):  # rejected, not truncated
+        with pytest.raises(ConfigurationError, match="positive counts"):
             resolve_run("sod_1d1d", **grid)
     # integer settings reach the owner that checks them untruncated
     for overrides, message in (({"K": 2.5}, "K must be a nonnegative integer"),
