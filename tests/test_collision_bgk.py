@@ -78,6 +78,17 @@ def test_zero_mass_cell_is_rejected(tmp_path):
     assert not (tmp_path / "snap.csv").exists()
 
 
+def test_zero_field_is_rejected():
+    # a field without any mass has no relaxation target: both BGK terms
+    # reject its first cell instead of returning a zero term
+    vg = VelocityGrid(2, 8.0, 16)
+    f = one_cell_field(vg, np.zeros(vg.counts))
+    for mode in ("bgk", "bgk-rho"):
+        with pytest.raises(StepRejectionError, match=r"non-finite temperature in cell \(0,\)") as exc:
+            bgk_rhs(f, mode, 1e-2)
+        assert exc.value.index == (0,)
+
+
 def test_collision_invariants_bimodal():
     # far-from-equilibrium bimodal state: moments of the RHS still vanish
     vg = VelocityGrid(2, 8.0, 64)
