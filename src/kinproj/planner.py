@@ -3,12 +3,11 @@
 `ladder` builds every run's `IntegratorPlan`. An integrator is an outer
 tableau and a level count: 0 for plain steps of h0, 1 for projective steps,
 which need K >= 2, or planned for telescopic ones. A level count or factor
-list M that is given must agree with it. Without M, the extrapolation
-factors reach the target outer step from the inner step h0, spread
-geometrically over the levels with the coarsest absorbing the residual
-(`adapt_M`), over `plan_levels` levels of growth `_LEVEL_FACTOR` unless a
-count is given. No spectrum is read; planning from the collision spectrum
-is ROADMAP.md item 3.
+list M that is given must agree with it. Without M, every level takes the
+one geometric factor that reaches the target outer step from the inner
+step h0 (`adapt_M`), over `plan_levels` levels of growth `_LEVEL_FACTOR`
+unless a count is given. No spectrum is read; planning from the collision
+spectrum is ROADMAP.md item 3.
 """
 
 import math
@@ -57,12 +56,8 @@ def plan_levels(h0, h_target, factor):
 
 
 def adapt_M(h0, h_target, K, levels):
-    """Extrapolation factors per level whose product lands exactly on h_target.
-
-    Levels 0..L-2 take the uniform geometric factor (h_target/h0)^(1/L); the
-    coarsest level is then solved from the product constraint, so rounding is
-    absorbed there (deterministic: coarsest level perturbed first).
-    """
+    """One extrapolation factor phi - (K+1) for every level, phi = (h_target/h0)^(1/L),
+    so the product of the L level ratios spans h_target/h0 to roundoff."""
     if levels != int(levels) or levels < 1:
         raise ConfigurationError(f"levels must be a positive integer, got {levels}")
     levels = int(levels)
@@ -79,19 +74,7 @@ def adapt_M(h0, h_target, K, levels):
         raise InfeasiblePlanError(
             f"uniform factor {phi} is below K+1 = {K + 1}; no nonnegative extrapolation exists"
         )
-    ms = [max(0.0, phi - (K + 1)) for _ in range(levels - 1)]
-    prod = 1.0
-    for m in ms:
-        prod *= m + K + 1
-    m_last = ratio / prod - (K + 1)
-    if m_last < 0.0:
-        if m_last < -1e-9:
-            raise InfeasiblePlanError(
-                f"coarsest level would need M = {m_last}; layout infeasible"
-            )
-        m_last = 0.0
-    ms.append(m_last)
-    return tuple(ms)
+    return (max(0.0, phi - (K + 1)),) * levels
 
 
 def speedup(plan):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DiagnosticError
 from .integrators import make_rhs
-from .phase_space import MomentSet, SpatialGrid, moments
+from .phase_space import MomentSet, SpatialGrid, check_state, moments
 
 # Dense-eigensolve ceiling; the probe is a diagnostic, not a production path.
 MAX_DENSE_DIMENSION = 4096
@@ -94,6 +94,7 @@ def probe_run(run, f):
     hottest and coldest cells of the field f on the run's grids, in that
     order, each cell once."""
     mom = moments(run.vgrid, f)
+    check_state(mom)  # names the field's own cell; a one-cell probe would say (0,)
     cells = dict.fromkeys(tuple(int(i) for i in np.unravel_index(a(m), m.shape))
                           for m in (mom.rho, mom.T) for a in (np.argmax, np.argmin))
     rhs = make_rhs(SpatialGrid(0.0, 1.0, 1, "periodic"), run.vgrid, None, run.collision)

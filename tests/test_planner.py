@@ -154,6 +154,18 @@ def test_adapt_product_identity_property():
         assert abs(prod - h_target) <= 1e-10 * h_target
 
 
+def test_adapt_M_one_factor_per_level():
+    rng = np.random.default_rng(28)
+    for _ in range(1000):
+        k = int(rng.integers(0, 7))
+        levels = int(rng.integers(2, 5))
+        h0 = 10 ** rng.uniform(-7, -3)
+        h_target = h0 * (k + 1.5 + rng.uniform(0.0, 40.0)) ** levels
+        ms = adapt_M(h0, h_target, k, levels)
+        assert ms == (ms[0],) * levels
+        assert abs((ms[0] + k + 1) ** levels - h_target / h0) <= 1e-12 * (h_target / h0)
+
+
 def test_telescopic_plan_assembly():
     plan = IntegratorPlan(1e-5, (6, 6), adapt_M(1e-5, 4e-3, 6, 2), CLASSIC_RK4)
     assert plan.levels == 2

@@ -438,9 +438,9 @@ def test_module_entry_point_exit_codes(tmp_path):
     # warning on the way is an error
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
-    def cli(*argv):
+    def cli(*argv, timeout=120):
         return subprocess.run([sys.executable, "-W", "error", "-m", "kinproj.scenarios_cli",
-                               *argv], capture_output=True, text=True, env=env, timeout=120)
+                               *argv], capture_output=True, text=True, env=env, timeout=timeout)
 
     done = cli("plan", "--scenario", "sod_1d1d", "--nx", "20", "--nv", "16")
     assert done.returncode == 0
@@ -448,6 +448,11 @@ def test_module_entry_point_exit_codes(tmp_path):
     done = cli("plan", "--scenario", "nope")
     assert done.returncode == 2 and done.stderr.startswith("error: ")
     assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
+    # 229 levels of K = 2 would nest 3^229 inner steps in one top step: a
+    # configuration error at once, not a plan that never returns
+    done = cli("plan", "--scenario", "sod_1d1d", "--integrator", "tprk4", "--h0", "1e-300",
+               timeout=20)
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
     # 8 nodes on [-1e6, 1e6] sample nothing of the initial Maxwellians: every
     # cell has zero mass, and the state is rejected at t = 0 with a manifest
     out = tmp_path / "zero_mass"

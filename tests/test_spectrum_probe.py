@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kinproj.errors import ConfigurationError, DiagnosticError
+from kinproj.errors import ConfigurationError, DiagnosticError, StepRejectionError
 from kinproj.integrators import make_rhs
 from kinproj.phase_space import DistributionField, SpatialGrid, VelocityGrid, maxwellian, moments
-from kinproj.scenarios_cli import resolve_run
+from kinproj.scenarios_cli import initial_field, resolve_run
 from kinproj.spectrum_probe import (
     MAX_DENSE_DIMENSION,
     jacobian_probe,
@@ -250,6 +250,17 @@ def test_probe_run_cells_and_reports():
         ref = spectrum(jacobian_probe(rhs, f[cell][None]))
         assert np.array_equal(report.eigenvalues, ref.eigenvalues)
         assert (report.split, report.gap_ratio) == (ref.split, ref.gap_ratio)
+
+
+def test_probe_run_names_the_rejected_cell():
+    # each cell is probed on a one-cell grid, so the field is judged first:
+    # the rejection names cell 7 of the run, not cell 0 of the probe
+    run = resolve_run("sod_1d1d", nx=(10,), nv=(16,))
+    f = initial_field(run)
+    f[7] = 0.0
+    with pytest.raises(StepRejectionError, match=r"non-finite temperature in cell \(7,\)") as exc:
+        probe_run(run, f)
+    assert exc.value.index == (7,)
 
 
 def test_spectrum_zero_operator():
