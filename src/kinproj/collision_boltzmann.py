@@ -273,7 +273,7 @@ def boltzmann_rhs(field, plan, epsilon):
     with it the seed of the aliasing mode; it does not make Q_N dissipative.
     """
     vg = field.vgrid
-    if vg.counts != (plan.modes, plan.modes) or not np.isclose(vg.half_width, plan.half_width):
+    if vg.counts != (plan.modes, plan.modes) or vg.half_width != plan.half_width:
         raise ConfigurationError(
             f"velocity grid {vg.counts} of half-width {vg.half_width} does not match "
             f"the plan's ({plan.modes}, {plan.modes}) of half-width {plan.half_width}")

@@ -153,11 +153,6 @@ class IntegratorPlan:
         self.levels = len(self.M)
         if len(self.K) != self.levels:
             raise ConfigurationError("K and M must have one entry per level")
-        # one top-step stage nests prod(K_l + 1) inner steps; 2**20 take minutes
-        nested = np.prod([k + 1.0 for k in self.K])
-        if nested > 2**20:
-            raise ConfigurationError(f"{self.levels} levels nest {nested:.3g} inner steps "
-                                     "per top-step stage, above 2**20")
         if any(m < 0 for m in self.M):
             raise ConfigurationError(f"extrapolation factors must be >= 0, got {self.M}")
         h = [float(h0)]

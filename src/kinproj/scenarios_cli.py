@@ -45,7 +45,6 @@ class Scenario:
     upper: tuple
     counts: tuple
     boundaries: tuple
-    dv: int
     half_width: float
     vcounts: tuple
     initial: object  # (*cell-center meshes) -> (rho, u, T)
@@ -103,7 +102,7 @@ def catalogue():
         Scenario(
             name="sod_1d1d",
             lower=(0.0,), upper=(1.0,), counts=(100,), boundaries=("outflow",),
-            dv=1, half_width=8.0, vcounts=(80,),
+            half_width=8.0, vcounts=(80,),
             initial=lambda x: _sod_states(x, 1),
             collision="bgk", epsilon=1e-5, t_end=0.15,
             integrator="prk4", K=2, cfl=0.4, weno_k=3,
@@ -112,7 +111,7 @@ def catalogue():
         Scenario(
             name="sod_1d2v",
             lower=(0.0,), upper=(1.0,), counts=(100,), boundaries=("outflow",),
-            dv=2, half_width=8.0, vcounts=(32, 32),
+            half_width=8.0, vcounts=(32, 32),
             initial=lambda x: _sod_states(x, 2),
             collision="bgk", epsilon=1e-5, t_end=0.15,
             integrator="prk4", K=2, cfl=0.4, weno_k=2,
@@ -122,7 +121,7 @@ def catalogue():
             name="shock_bubble",
             lower=(-2.0, -1.0), upper=(3.0, 1.0), counts=(200, 25),
             boundaries=("outflow", "periodic"),
-            dv=2, half_width=10.0, vcounts=(30, 30),
+            half_width=10.0, vcounts=(30, 30),
             initial=_shock_bubble_states,
             collision="bgk", epsilon=1e-5, t_end=0.8,
             integrator="prk4", K=2, cfl=0.4, weno_k=2,
@@ -132,7 +131,7 @@ def catalogue():
             name="kelvin_helmholtz",
             lower=(-0.5, -0.5), upper=(0.5, 0.5), counts=(100, 100),
             boundaries=("periodic", "outflow"),
-            dv=2, half_width=8.0, vcounts=(30, 30),
+            half_width=8.0, vcounts=(30, 30),
             initial=_shear_layer_states,
             collision="bgk", epsilon=5e-5, t_end=1.6,
             integrator="prk4", K=3, cfl=0.45, weno_k=2,
@@ -142,7 +141,7 @@ def catalogue():
             name="double_sod_2d",
             lower=(-0.5, -0.5), upper=(0.5, 0.5), counts=(64, 64),
             boundaries=("outflow", "outflow"),
-            dv=2, half_width=8.0, vcounts=(32, 32),
+            half_width=8.0, vcounts=(32, 32),
             initial=_double_sod_states,
             collision="boltzmann", epsilon=5e-5, t_end=0.16,
             integrator="tprk4", K=3, cfl=0.3, weno_k=2,
@@ -191,7 +190,8 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     counts = (scen.desk_counts if desk else scen.counts) if nx is None else tuple(nx)
     vcounts = (scen.desk_vcounts if desk else scen.vcounts) if nv is None else tuple(nv)
     sgrid = SpatialGrid(scen.lower, scen.upper, counts, scen.boundaries)
-    vgrid = VelocityGrid(scen.dv, scen.half_width if half_width is None else half_width, vcounts)
+    half_width = scen.half_width if half_width is None else half_width
+    vgrid = VelocityGrid(len(scen.vcounts), half_width, vcounts)
 
     epsilon = scen.epsilon if epsilon is None else float(epsilon)
     if not 0 < epsilon < math.inf:
@@ -230,6 +230,11 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
         tuned = K is None and h0 is None and cfl is None
         M, levels = (scen.M, None) if tuned else (None, len(scen.M))
     plan = ladder(integ, h0_, C * dx_min, K_, levels, M)
+    # the run's level-0 steps, up to its landing steps, in floats: an overflow is rejected
+    nested = plan.outer_tableau.stages * math.prod(k + 1.0 for k in plan.K) if plan.levels else 1
+    work = t_end / plan.h[-1] * nested
+    if work > 2**22:
+        raise ConfigurationError(f"the run would take about {work:.2g} level-0 steps, above 2**22")
 
     weno_k = scen.weno_k if weno_k is None else weno_k
     rhs = make_rhs(sgrid, vgrid, weno_k, coll)

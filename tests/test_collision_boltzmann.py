@@ -295,10 +295,10 @@ def test_configuration_errors():
     f32 = DistributionField(np.ones((2, 32, 32)), sg, vg32)
     with pytest.raises(ConfigurationError):
         boltzmann_rhs(f32, plan, 1.0)
-    vg_hw = VelocityGrid(2, 6.0, 16)
-    fhw = DistributionField(np.ones((2, 16, 16)), sg, vg_hw)
-    with pytest.raises(ConfigurationError):
-        boltzmann_rhs(fhw, plan, 1.0)
+    for half_width in (6.0, 8.00004):  # the second is within np.isclose of 8.0
+        fhw = DistributionField(np.ones((2, 16, 16)), sg, VelocityGrid(2, half_width, 16))
+        with pytest.raises(ConfigurationError, match="does not match"):
+            boltzmann_rhs(fhw, plan, 1.0)
     vg16 = VelocityGrid(2, 8.0, 16)
     f = DistributionField(np.ones((2, 16, 16)), sg, vg16)
     with pytest.raises(ConfigurationError):

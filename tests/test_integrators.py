@@ -144,11 +144,6 @@ def test_plan_validation():
         IntegratorPlan(1e-5, (2,), (math.inf,))
     with pytest.raises(ConfigurationError, match="finite"):
         IntegratorPlan(math.nan, (), ())
-    # a top-step stage may nest prod(K_l + 1) <= 2**20 inner steps: 3^12 is
-    # accepted, 3^13 is rejected before any step is taken
-    assert IntegratorPlan(1e-5, (2,) * 12, (0.0,) * 12).levels == 12
-    with pytest.raises(ConfigurationError, match=r"^13 levels nest 1\.59e\+06 inner steps"):
-        IntegratorPlan(1e-5, (2,) * 13, (0.0,) * 13)
 
 
 def test_projective_feasibility():

@@ -340,6 +340,23 @@ def test_grid_below_stencil_width_exits_2_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_work_bound(tmp_path, capsys):
+    # sod_1d1d to t = 0.15 in plain RK4 steps of cfl * dx = 0.01 cfl:
+    # 3.75e6 steps fit under 2**22, 5e6 do not
+    assert resolve_run("sod_1d1d", integrator="rk4", cfl=4e-6).plan.levels == 0
+    with pytest.raises(ConfigurationError,
+                       match=r"^the run would take about 5e\+06 level-0 steps, above 2\*\*22$"):
+        resolve_run("sod_1d1d", integrator="rk4", cfl=3e-6)
+    # 229 levels of K = 2 take no step to t = 0, and far too many to t = 0.15
+    assert resolve_run("sod_1d1d", integrator="tprk4", h0=1e-300, t_end=0.0).plan.levels == 229
+    with pytest.raises(ConfigurationError, match="level-0 steps"):
+        resolve_run("sod_1d1d", integrator="tprk4", h0=1e-300)
+    out = tmp_path / "d"
+    assert main(["run", "--scenario", "sod_1d1d", "--t-end", "1e300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: the run would take about 3e+303 ")
+    assert not out.exists()
+
+
 def test_config_file_errors(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("mystery = 1\n", encoding="utf-8")
@@ -448,11 +465,15 @@ def test_module_entry_point_exit_codes(tmp_path):
     done = cli("plan", "--scenario", "nope")
     assert done.returncode == 2 and done.stderr.startswith("error: ")
     assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
-    # 229 levels of K = 2 would nest 3^229 inner steps in one top step: a
-    # configuration error at once, not a plan that never returns
-    done = cli("plan", "--scenario", "sod_1d1d", "--integrator", "tprk4", "--h0", "1e-300",
-               timeout=20)
-    assert done.returncode == 2 and done.stderr.startswith("error: ")
+    # runs of about 1e111 to 1e303 level-0 steps (229 levels of K = 2, plain
+    # steps of 1e-300, t_end = 1e300): a configuration error at once, not a
+    # plan that never returns
+    for argv in (["--integrator", "tprk4", "--h0", "1e-300"],
+                 ["--integrator", "fe", "--h0", "1e-300"],
+                 ["--integrator", "rk4", "--cfl", "1e-300"],
+                 ["--t-end", "1e300"]):
+        done = cli("plan", "--scenario", "sod_1d1d", *argv, timeout=20)
+        assert done.returncode == 2 and done.stderr.startswith("error: ")
     # 8 nodes on [-1e6, 1e6] sample nothing of the initial Maxwellians: every
     # cell has zero mass, and the state is rejected at t = 0 with a manifest
     out = tmp_path / "zero_mass"
