@@ -208,13 +208,10 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
     if not 0 <= t_end < math.inf:
         raise ConfigurationError(f"end time must be non-negative and finite, got {t_end}")
     n_snap = 5 if snapshots is None else snapshots
-    if t_end == 0.0:
-        snap_times = (0.0,)
-    else:
-        if not (n_snap >= 2 and n_snap % 1 == 0):
-            raise ConfigurationError(
-                f"snapshots must be a whole number >= 2 when t_end > 0, got {n_snap}")
-        snap_times = tuple(np.linspace(0.0, t_end, int(n_snap)))
+    if t_end > 0.0 and not (n_snap >= 2 and n_snap % 1 == 0):
+        raise ConfigurationError(
+            f"snapshots must be a whole number >= 2 when t_end > 0, got {n_snap}")
+    intervals = int(n_snap) - 1 if t_end > 0.0 else 0
 
     dx_min = min(sgrid.spacings)
     K_ = scen.K if K is None else K
@@ -230,11 +227,14 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
         tuned = K is None and h0 is None and cfl is None
         M, levels = (scen.M, None) if tuned else (None, len(scen.M))
     plan = ladder(integ, h0_, C * dx_min, K_, levels, M)
-    # the run's level-0 steps, up to its landing steps, in floats: an overflow is rejected
-    nested = plan.outer_tableau.stages * math.prod(k + 1.0 for k in plan.K) if plan.levels else 1
-    work = t_end / plan.h[-1] * nested
-    if work > 2**22:
-        raise ConfigurationError(f"the run would take about {work:.2g} level-0 steps, above 2**22")
+    # an upper bound on the run's RHS evaluations, in floats so an overflow is rejected: whole
+    # top steps, then per interval a landing of at most one top step (plain steps: no levels)
+    work = ((t_end / plan.h[-1] + intervals) * plan.outer_tableau.stages
+            * math.prod(k + 1.0 for k in plan.K))
+    if work > 2**20:
+        raise ConfigurationError(
+            f"the run would take about {work:.3g} right-hand-side evaluations, above 2**20")
+    snap_times = tuple(np.linspace(0.0, t_end, intervals + 1))
 
     weno_k = scen.weno_k if weno_k is None else weno_k
     rhs = make_rhs(sgrid, vgrid, weno_k, coll)

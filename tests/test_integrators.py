@@ -41,6 +41,8 @@ def test_tableau_validation():
         RKTableau([[0.0, 0.5], [0.5, 0.0]], [0.0, 1.0])  # not explicit
     with pytest.raises(ConfigurationError):
         RKTableau([[0.0, 0.0], [1.5, 0.0]], [0.0, 1.0])  # c > 1
+    with pytest.raises(ConfigurationError, match="inconsistent shapes"):
+        RKTableau([[0.0, 0.0], [1.0, 0.0]], [1.0])  # b shorter than a
 
 
 def test_forward_euler_scalar():
@@ -299,6 +301,12 @@ def test_step_rejection_on_non_finite():
     plan = IntegratorPlan(0.01, (1,), (3.0,), FORWARD_EULER)
     with pytest.raises(StepRejectionError):
         telescopic_step(bad_rhs, state, plan)
+    # an inf + -inf sum is rejected at the first bad entry, with no numpy warning
+    with pytest.raises(StepRejectionError, match=r"state index \(0,\)"):
+        rk_step(lambda y: np.array([np.inf, -np.inf]), np.zeros(2), 1e-3, FORWARD_EULER)
+    # finite entries whose sum overflows are a finite slope
+    assert np.array_equal(rk_step(lambda y: np.array([1e308, 1e308]), np.zeros(2), 1e-3,
+                                  FORWARD_EULER), [1e305, 1e305])
 
 
 def test_rhs_returns_a_new_array_each_call():

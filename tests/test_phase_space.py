@@ -269,6 +269,10 @@ def test_grid_and_field_validation():
         SpatialGrid((0.0,), (1.0,), 10, "reflecting")
     with pytest.raises(ConfigurationError):
         SpatialGrid((0.0,), (-1.0,), 10, "periodic")
+    with pytest.raises(ConfigurationError, match="1D or 2D"):
+        SpatialGrid((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 10, "periodic")
+    with pytest.raises(ConfigurationError, match="matching bounds"):
+        SpatialGrid((0.0, 0.0), (1.0,), 10, "periodic")
     s = SpatialGrid((0.0,), (1.0,), 10, "outflow")
     v = VelocityGrid(1, 8.0, 16)
     with pytest.raises(ConfigurationError):

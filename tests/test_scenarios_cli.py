@@ -18,6 +18,7 @@ from kinproj.planner import INTEGRATORS
 from kinproj.scenarios_cli import (
     _RUN_OPTIONS,
     COLLISIONS,
+    _advance,
     build_parser,
     catalogue,
     describe,
@@ -146,6 +147,13 @@ def test_manifest_plan_bookkeeping(tmp_path):
     assert manifest["snapshot_times"] == list(np.linspace(0.0, 0.15, 5))
 
 
+def _work_bound(run):
+    """The bound resolve_run checks: (t_end / h_top + intervals) * stages * prod(K + 1)."""
+    plan = run.plan
+    return ((run.t_end / plan.h[-1] + len(run.snapshot_times) - 1)
+            * plan.outer_tableau.stages * np.prod([k + 1 for k in plan.K]))
+
+
 class _CountingRhs:
     """RHS wrapper that counts calls and can return NaN at one of them."""
 
@@ -190,7 +198,7 @@ def test_remainder_landing_counts(tmp_path, overrides, counts):
     assert manifest["status"] == "completed"
     assert manifest["snapshots"][-1]["t"] == overrides["t_end"]
     assert manifest["steps_per_level"] == counts
-    assert rhs.calls == counts[0]
+    assert rhs.calls == counts[0] <= _work_bound(run)
 
 
 def test_landing_keeps_heat_flux_accuracy(tmp_path):
@@ -341,20 +349,47 @@ def test_grid_below_stencil_width_exits_2_before_writing(tmp_path, capsys):
 
 
 def test_run_work_bound(tmp_path, capsys):
-    # sod_1d1d to t = 0.15 in plain RK4 steps of cfl * dx = 0.01 cfl:
-    # 3.75e6 steps fit under 2**22, 5e6 do not
-    assert resolve_run("sod_1d1d", integrator="rk4", cfl=4e-6).plan.levels == 0
-    with pytest.raises(ConfigurationError,
-                       match=r"^the run would take about 5e\+06 level-0 steps, above 2\*\*22$"):
-        resolve_run("sod_1d1d", integrator="rk4", cfl=3e-6)
+    # sod_1d1d to t = 0.15 in plain RK4 steps of cfl * dx = 0.01 cfl, 4 stages
+    # each, plus one landing per interval: 4 * (250,000 + 4) evaluations fit
+    # under 2**20, 4 * (300,000 + 4) do not
+    assert resolve_run("sod_1d1d", integrator="rk4", cfl=6e-5).plan.levels == 0
+    with pytest.raises(ConfigurationError, match=r"^the run would take about 1\.2e\+06 "
+                       r"right-hand-side evaluations, above 2\*\*20$"):
+        resolve_run("sod_1d1d", integrator="rk4", cfl=5e-5)
+    # the default prk4 ladder, 12 evaluations a top step or landing:
+    # (37.5 + 86,999) * 12 fit under 2**20, (37.5 + 100,000) * 12 do not
+    assert len(resolve_run("sod_1d1d", snapshots=87000).snapshot_times) == 87000
+    with pytest.raises(ConfigurationError, match="right-hand-side evaluations"):
+        resolve_run("sod_1d1d", snapshots=100001)
+    # refused before a linspace of 10**9 times is built
+    with pytest.raises(ConfigurationError, match=r"about 1\.2e\+10 "):
+        resolve_run("sod_1d1d", snapshots=10**9)
     # 229 levels of K = 2 take no step to t = 0, and far too many to t = 0.15
     assert resolve_run("sod_1d1d", integrator="tprk4", h0=1e-300, t_end=0.0).plan.levels == 229
-    with pytest.raises(ConfigurationError, match="level-0 steps"):
+    with pytest.raises(ConfigurationError, match="right-hand-side evaluations"):
         resolve_run("sod_1d1d", integrator="tprk4", h0=1e-300)
     out = tmp_path / "d"
     assert main(["run", "--scenario", "sod_1d1d", "--t-end", "1e300", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: the run would take about 3e+303 ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("overrides", [
+    # the runs of test_plan_predicts_the_run that test_remainder_landing_counts lacks
+    dict(nx=(50,), nv=(32,)),
+    dict(integrator="rk4", epsilon=0.1, cfl=0.1, nx=(20,), nv=(16,)),
+    # a landing in each of many short intervals
+    dict(integrator="tprk4", snapshots=1000),
+], ids=["bookkeeping_run", "plain_rk4", "many_snapshots"])
+def test_work_bound_covers_the_stepping(overrides):
+    # the run's own stepping, dry-run on a scalar no-op RHS as `plan` does
+    run = resolve_run("sod_1d1d", **overrides)
+    times = run.snapshot_times
+    rhs = _CountingRhs(lambda y: 0.0)
+    for t0, t1 in zip(times, times[1:]):
+        for _ in _advance(rhs, 0.0, t1 - t0, run.plan, [0] * (run.plan.levels + 1)):
+            pass
+    assert 0 < rhs.calls <= _work_bound(run)
 
 
 def test_config_file_errors(tmp_path):
@@ -465,13 +500,15 @@ def test_module_entry_point_exit_codes(tmp_path):
     done = cli("plan", "--scenario", "nope")
     assert done.returncode == 2 and done.stderr.startswith("error: ")
     assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
-    # runs of about 1e111 to 1e303 level-0 steps (229 levels of K = 2, plain
-    # steps of 1e-300, t_end = 1e300): a configuration error at once, not a
-    # plan that never returns
+    # runs of about 1e111 to 1e303 RHS evaluations (229 levels of K = 2, plain
+    # steps of 1e-300, t_end = 1e300) and one of 2.4e7 (a landing in each of
+    # 2e6 intervals): a configuration error at once, not a plan that never
+    # returns or dry-runs for half a minute
     for argv in (["--integrator", "tprk4", "--h0", "1e-300"],
                  ["--integrator", "fe", "--h0", "1e-300"],
                  ["--integrator", "rk4", "--cfl", "1e-300"],
-                 ["--t-end", "1e300"]):
+                 ["--t-end", "1e300"],
+                 ["--snapshots", "2000000"]):
         done = cli("plan", "--scenario", "sod_1d1d", *argv, timeout=20)
         assert done.returncode == 2 and done.stderr.startswith("error: ")
     # 8 nodes on [-1e6, 1e6] sample nothing of the initial Maxwellians: every

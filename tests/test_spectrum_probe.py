@@ -170,6 +170,8 @@ def test_probe_exact_on_linear_rhs():
     for u in rng.standard_normal((10, 8)):
         assert np.linalg.norm(probe @ u - A @ u) <= 1e-9 * np.linalg.norm(A @ u)
     check_linearity(lambda v: probe @ v, 8)
+    # the all-zero state has no norm to scale the default increment by
+    assert np.array_equal(jacobian_probe(lambda x: -x, np.zeros(3)), -np.eye(3))
 
 
 def test_probe_validation():
