@@ -9,9 +9,13 @@ periodized there, and the Carleman-form bilinear quadrature
     alpha_p(l)  = phi(l . e_{theta_p}),   alpha'_p(m) = phi(m . e_{theta_p + pi/2}),
     phi(s)      = 2 R sinc(R s),          theta_p = pi p / N_theta,
 
-is realized with unpadded discrete Fourier transforms (the convolution is
-mod-N per axis): one forward transform per slice, and one inverse per
-distinct angular table and for the loss multiplier B(m,m). Support
+with p = 0 .. N_theta - 1 and N_theta even. As phi is even, the quarter turn
+of angle p is angle p + N_theta/2: alpha'_p = alpha_{p + N_theta/2}, indices
+mod N_theta. So the plan keeps one table per angle and takes each pair
+(p, p + N_theta/2), p < N_theta/2, once with twice the weight, 2 pi/N_theta;
+B(m,m) comes from the same pairs. The sum is realized with unpadded discrete
+Fourier transforms (the convolution is mod-N per axis): one forward
+transform per slice, and one inverse per table and for B(m,m). Support
 truncation radius R = lambda*pi with lambda = 2/(3+sqrt(2)). Physical output
 carries the constant-kernel prefactor 2*b0 and the box Jacobian (V/pi)^2;
 with b0 = 1/(2 pi) the untruncated loss term is exactly rho*f.
@@ -40,7 +44,7 @@ gain keeps Re(X_i X_j) = Re X_i Re X_j - Im X_i Im X_j whole, with the
 second product formed from r and c (dropping it would cost 0.4% of |Q| at
 J = 16). The loss f * IFFT2(B(m,m) G) needs only the real part, as f is
 real. The plan derives which tables and pairs carry the odd term from the
-tables themselves, so any N_theta stays exact.
+tables themselves, so any even N_theta stays exact.
 
 ``boltzmann_q`` is this raw operator Q_N. On a coarse velocity grid Q_N does
 not vanish at sampled Maxwellians (|Q_N(M)| = 3.6e-4 at J = 16, V = 8,
@@ -78,15 +82,17 @@ def _real_form(w):
 
 
 def _same_to_roundoff(u, v):
-    """Whether two multiplier tables differ only by the rounding of cos and
-    sin, by at most 1e-13 of u's largest value; tables of different angles
-    differ by O(1/N) of it."""
+    """Whether a multiplier table u and its mirror v, v(k) = u(-k), differ
+    only by the rounding of cos and sin, by at most 1e-13 of u's largest
+    value; a table with an odd part differs from its mirror by O(1/N) of it
+    on the Nyquist lines."""
     return np.abs(u - v).max() <= 1e-13 * np.abs(u).max()
 
 
 class SpectralPlan:
-    """Precomputed angular factor tables for N_theta angles on a velocity
-    grid, which must be square and 2D with an even J >= 8 nodes per axis."""
+    """Precomputed angular factor tables for an even number N_theta of angles
+    on a velocity grid, which must be square and 2D with an even J >= 8 nodes
+    per axis."""
 
     def __init__(self, vgrid, n_theta=4):
         modes = vgrid.counts[0]
@@ -95,8 +101,9 @@ class SpectralPlan:
                 "the spectral collision operator needs a square 2D velocity grid")
         if modes % 2 != 0 or modes < 8:
             raise ConfigurationError(f"modes must be even and >= 8, got {modes}")
-        if not (n_theta >= 1 and n_theta % 1 == 0):
-            raise ConfigurationError(f"n_theta must be a whole number >= 1, got {n_theta}")
+        if not (n_theta >= 2 and n_theta % 2 == 0):
+            raise ConfigurationError(
+                f"n_theta must be a whole number, even and >= 2, got {n_theta}")
         self.modes = modes
         self.half_width = vgrid.half_width
         self.n_theta = n_theta = int(n_theta)
@@ -105,40 +112,16 @@ class SpectralPlan:
         self.scale = 2.0 * DEFAULT_B0 * (self.half_width / np.pi) ** 2
 
         freq = np.fft.fftfreq(self.modes, 1.0 / self.modes)  # integer modes, FFT order
-        lx = freq[:, None]
-        ly = freq[None, :]
-        thetas = np.pi * np.arange(1, n_theta + 1) / n_theta
-        self.alpha = np.empty((n_theta, self.modes, self.modes))
-        self.alpha_prime = np.empty_like(self.alpha)
-        for p, th in enumerate(thetas):
-            self.alpha[p] = phi_profile(self.radius, lx * np.cos(th) + ly * np.sin(th))
-            self.alpha_prime[p] = phi_profile(
-                self.radius, -lx * np.sin(th) + ly * np.cos(th)
-            )
-        self.weight_theta = np.pi / n_theta
-        # Distinct multiplier tables, each transformed once per evaluation:
-        # the quarter turn maps alpha' tables onto alpha tables up to the
-        # rounding of cos and sin (for n_theta = 4, alpha'_p = alpha_{p+2},
-        # indices mod 4, as phi is even). pairs[p] indexes the
-        # (alpha_p, alpha'_p) tables of angle p.
-        tables = []
-
-        def table_index(t):
-            for i, u in enumerate(tables):
-                if _same_to_roundoff(u, t):
-                    return i
-            tables.append(t)
-            return len(tables) - 1
-
-        self.pairs = [
-            (table_index(self.alpha[p]), table_index(self.alpha_prime[p]))
-            for p in range(n_theta)
-        ]
-        self.tables = np.stack(tables)
-        # Fourier multiplier of the loss convolution: B(m,m)
-        self.bhat_diag = self.weight_theta * np.sum(
-            self.alpha * self.alpha_prime, axis=0
-        )
+        theta = np.pi * np.arange(n_theta)[:, None, None] / n_theta
+        # one table per angle, tables[p] = alpha_p, and each quarter-turn pair
+        # once with twice the weight (see the module docstring)
+        self.tables = phi_profile(
+            self.radius, freq[:, None] * np.cos(theta) + freq[None, :] * np.sin(theta))
+        half = n_theta // 2
+        self.pairs = [(p, p + half) for p in range(half)]
+        self.weight_theta = 2.0 * np.pi / n_theta
+        # Fourier multiplier of the loss convolution: B(m,m), from the same pairs
+        self.bhat_diag = self.weight_theta * (self.tables[:half] * self.tables[half:]).sum(0)
         # Half spectra (see the module docstring): bins k_y = 0..N/2, all k_x.
         # Even parts t_e(k) = (t(k) + t(-k))/2 of every table and of B(m,m),
         # in the kernel's (k_y, k_x) layout with each entry repeated for its

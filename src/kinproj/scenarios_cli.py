@@ -212,6 +212,9 @@ def resolve_run(name, preset="paper", integrator=None, collision=None,
         raise ConfigurationError(
             f"snapshots must be a whole number >= 2 when t_end > 0, got {n_snap}")
     intervals = int(n_snap) - 1 if t_end > 0.0 else 0
+    if intervals > 2**20:  # before the count meets a float, which it may overflow
+        raise ConfigurationError("the run would take more than 2**20 right-hand-side "
+                                 "evaluations, at least one per snapshot interval")
 
     dx_min = min(sgrid.spacings)
     K_ = scen.K if K is None else K

@@ -63,22 +63,32 @@ def test_profile_constants():
 
 
 def test_plan_tables():
-    plan = SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=4)
-    two_r = 2.0 * plan.radius
-    # the zero mode sees phi(0) = 2R from every angle, in both tables
-    assert_allclose(plan.alpha[:, 0, 0], two_r, rtol=1e-15)
-    assert_allclose(plan.alpha_prime[:, 0, 0], two_r, rtol=1e-15)
-    assert plan.bhat_diag[0, 0] == pytest.approx(math.pi * two_r**2, rel=1e-14)
-    # evenness of the profile: table invariant under l -> -l away from the
-    # Nyquist row/column, where -l has no representable counterpart
-    n = plan.modes
-    mask = np.ones((n, n), dtype=bool)
-    mask[n // 2, :] = False
-    mask[:, n // 2] = False
-    for p in range(4):
-        a = plan.alpha[p]
-        rolled = np.roll(a[::-1, ::-1], (1, 1), axis=(0, 1))
-        assert_allclose(rolled[mask], a[mask], rtol=1e-14)
+    for n_theta in (2, 4, 8):
+        plan = SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=n_theta)
+        two_r = 2.0 * plan.radius
+        half = n_theta // 2
+        assert len(plan.tables) == n_theta
+        assert plan.pairs == [(p, p + half) for p in range(half)]
+        # the quarter turn of angle p is the table of angle p + N_theta/2:
+        # alpha'_p = phi(l . e_{theta_p + pi/2}), which the plan does not build
+        n = plan.modes
+        freq = np.fft.fftfreq(n, 1.0 / n)
+        for p in range(n_theta):
+            th = math.pi * p / n_theta + math.pi / 2
+            turned = phi_profile(plan.radius,
+                                 freq[:, None] * math.cos(th) + freq[None, :] * math.sin(th))
+            assert np.abs(turned - plan.tables[(p + half) % n_theta]).max() <= 1e-14 * two_r
+        # the zero mode sees phi(0) = 2R from every angle
+        assert_allclose(plan.tables[:, 0, 0], two_r, rtol=1e-15)
+        assert plan.bhat_diag[0, 0] == pytest.approx(math.pi * two_r**2, rel=1e-14)
+        # evenness of the profile: table invariant under l -> -l away from the
+        # Nyquist row/column, where -l has no representable counterpart
+        mask = np.ones((n, n), dtype=bool)
+        mask[n // 2, :] = False
+        mask[:, n // 2] = False
+        for a in plan.tables:
+            rolled = np.roll(a[::-1, ::-1], (1, 1), axis=(0, 1))
+            assert_allclose(rolled[mask], a[mask], rtol=1e-14)
 
 
 def test_zero_slice_is_exactly_zero():
@@ -89,13 +99,15 @@ def test_zero_slice_is_exactly_zero():
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_matches_direct_quadrature(n):
-    plan = SpectralPlan(VelocityGrid(2, 8.0, n), n_theta=4)
-    rng = np.random.default_rng(100 + n)
-    for _ in range(5):
-        s = rng.uniform(0.1, 1.1, size=(n, n))
-        fast = boltzmann_q(plan, s)
-        ref = direct_q(n, 8.0, 4, DEFAULT_B0, s)
-        assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
+    # direct_q builds alpha' from the quarter turn itself, at angles 1 .. N_theta
+    for n_theta in (2, 4, 8):
+        plan = SpectralPlan(VelocityGrid(2, 8.0, n), n_theta=n_theta)
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            s = rng.uniform(0.1, 1.1, size=(n, n))
+            fast = boltzmann_q(plan, s)
+            ref = direct_q(n, 8.0, n_theta, DEFAULT_B0, s)
+            assert np.abs(fast - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_bilinear_scaling():
@@ -277,6 +289,9 @@ def test_configuration_errors():
         SpectralPlan(VelocityGrid(2, 8.0, 4))  # too small
     with pytest.raises(ConfigurationError):
         SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=0)
+    for n_theta in (1, 3):  # odd: no angle has its quarter turn among the angles
+        with pytest.raises(ConfigurationError, match="n_theta must be a whole number, even"):
+            SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=n_theta)
     with pytest.raises(ConfigurationError, match="n_theta must be a whole number"):
         SpectralPlan(VelocityGrid(2, 8.0, 16), n_theta=4.5)  # not truncated to 4
     with pytest.raises(ConfigurationError):

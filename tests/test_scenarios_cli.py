@@ -361,9 +361,12 @@ def test_run_work_bound(tmp_path, capsys):
     assert len(resolve_run("sod_1d1d", snapshots=87000).snapshot_times) == 87000
     with pytest.raises(ConfigurationError, match="right-hand-side evaluations"):
         resolve_run("sod_1d1d", snapshots=100001)
-    # refused before a linspace of 10**9 times is built
-    with pytest.raises(ConfigurationError, match=r"about 1\.2e\+10 "):
-        resolve_run("sod_1d1d", snapshots=10**9)
+    # refused before a linspace of 10**9 times is built, and a count beyond
+    # float range before it is converted to a float
+    for snapshots in (10**9, 10**400):
+        with pytest.raises(ConfigurationError, match=r"^the run would take more than 2\*\*20 "
+                           r"right-hand-side evaluations, at least one per snapshot interval$"):
+            resolve_run("sod_1d1d", snapshots=snapshots)
     # 229 levels of K = 2 take no step to t = 0, and far too many to t = 0.15
     assert resolve_run("sod_1d1d", integrator="tprk4", h0=1e-300, t_end=0.0).plan.levels == 229
     with pytest.raises(ConfigurationError, match="right-hand-side evaluations"):
@@ -501,16 +504,18 @@ def test_module_entry_point_exit_codes(tmp_path):
     assert done.returncode == 2 and done.stderr.startswith("error: ")
     assert cli("plan", "--no-such-flag").returncode == 2  # argparse's usage error
     # runs of about 1e111 to 1e303 RHS evaluations (229 levels of K = 2, plain
-    # steps of 1e-300, t_end = 1e300) and one of 2.4e7 (a landing in each of
-    # 2e6 intervals): a configuration error at once, not a plan that never
-    # returns or dry-runs for half a minute
+    # steps of 1e-300, t_end = 1e300) and of at least 2e6 and 1e400 (a landing
+    # in each interval): a configuration error at once, not a plan that never
+    # returns, dry-runs for half a minute or overflows a float
     for argv in (["--integrator", "tprk4", "--h0", "1e-300"],
                  ["--integrator", "fe", "--h0", "1e-300"],
                  ["--integrator", "rk4", "--cfl", "1e-300"],
                  ["--t-end", "1e300"],
-                 ["--snapshots", "2000000"]):
+                 ["--snapshots", "2000000"],
+                 ["--snapshots", "1" + "0" * 400]):
         done = cli("plan", "--scenario", "sod_1d1d", *argv, timeout=20)
         assert done.returncode == 2 and done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
     # 8 nodes on [-1e6, 1e6] sample nothing of the initial Maxwellians: every
     # cell has zero mass, and the state is rejected at t = 0 with a manifest
     out = tmp_path / "zero_mass"
